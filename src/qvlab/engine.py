@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .linalg import NonPositiveP, is_unitary, p_norm
+from .linalg import NonPositiveP, is_unitary, p_distribution, p_norm
 
 UNITARY_TOL = 1e-10
 CONDITION_LIMIT = 1e12
@@ -284,9 +284,7 @@ def apply_nonlinear(state: StateVector, kind: str, target: int) -> StateVector:
 def measure_distribution(state: StateVector, rule: MeasurementRule | float = 2.0) -> np.ndarray:
     """Outcome distribution |a_x|^p / sum_y |a_y|^p over all basis states."""
     p = rule.p if isinstance(rule, MeasurementRule) else MeasurementRule(float(rule)).p
-    weights = np.abs(state.amplitudes) ** p
-    total = weights.sum()
-    return weights / total
+    return p_distribution(state.amplitudes, p)
 
 
 def marginal_distribution(state: StateVector, qubits: Sequence[int],

@@ -47,18 +47,50 @@ class DecompositionError(RuntimeError):
     """The block decomposition could not certify its own reconstruction."""
 
 
-def p_norm(v, p: float) -> float:
+def p_norm(v, p: float, axis=None):
     """(sum_j |v_j|^p)^(1/p) for p > 0; max_j |v_j| for p = math.inf.
 
     p = 0 and p < 0 are rejected: the measurement rules downstream divide by
-    this quantity and need it positive and homogeneous.
+    this quantity and need it positive and homogeneous.  The moduli are
+    divided by their maximum before the power, so no p and no scale of v
+    overflows or underflows the sum.  With ``axis`` the norms are taken
+    along that axis and returned as an array.
     """
-    v = np.asarray(v)
+    a = np.abs(np.asarray(v))
+    top = np.max(a, axis=axis, keepdims=True, initial=0.0)
     if math.isinf(p) and p > 0:
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    if not (p > 0) or math.isnan(p):
+        norm = top
+    elif p > 0:
+        unit = np.where(top > 0, top, 1.0)
+        norm = unit * np.sum((a / unit) ** p, axis=axis, keepdims=True) ** (1.0 / p)
+    else:
         raise NonPositiveP(f"p must be positive (got {p})")
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+    norm = norm.squeeze(axis)
+    return float(norm) if axis is None else norm
+
+
+def p_distribution(amps, p: float, log2_gain=None) -> np.ndarray:
+    """The p-norm rule |a_x|^p / sum_y |a_y|^p over every entry of ``amps``.
+
+    Weights are formed as exp2(p log2(|a| / max|a|)), so the largest is 1
+    and the sum cannot overflow or underflow for any finite p > 0 or any
+    amplitude scale; exp2 also avoids pow's slow subnormal results at p in
+    the thousands.  ``log2_gain``, broadcast against ``amps``, adds exact
+    per-entry log2 weight multipliers (postselection gadgets); the exponents
+    are then shifted so that their maximum is 0.  p is not re-checked here:
+    callers validate it at their boundary.
+    """
+    w = np.abs(amps)
+    w /= w.max()
+    with np.errstate(divide="ignore"):   # log2(0) = -inf, weight 0
+        np.log2(w, out=w)
+    w *= p
+    if log2_gain is not None:
+        w += log2_gain
+        w -= w.max()
+    np.exp2(w, out=w)
+    w /= w.sum()
+    return w
 
 
 def is_unitary(m, tol: float = ORTHONORMAL_TOL) -> bool:

@@ -97,9 +97,8 @@ def _sample_vectors(n: int, trials: int, rng: np.random.Generator,
 
 def _norm_batch(vectors: np.ndarray, p: float, convention: str) -> np.ndarray:
     if convention == "split":
-        parts = np.concatenate([np.abs(vectors.real), np.abs(vectors.imag)], axis=-1)
-        return np.sum(parts ** p, axis=-1) ** (1.0 / p)
-    return np.sum(np.abs(vectors) ** p, axis=-1) ** (1.0 / p)
+        vectors = np.concatenate([vectors.real, vectors.imag], axis=-1)
+    return p_norm(vectors, p, axis=-1)
 
 
 def preserves_pnorm_numeric(a, p: float, trials: int = 64, seed: int | None = 0,
@@ -248,6 +247,7 @@ def phase_invariance_check(a, p: float, grid_size: int = 24, trials: int = 8,
         for l in range(n):
             sweep = np.tile(x, (grid_size, 1))
             sweep[:, l] = phases * x[l]
+            # raw sums: the residual is defined on sum_j |(Ax)_j|^p itself
             sums = np.sum(np.abs(sweep @ a.T) ** p, axis=1)
             variation = float(sums.max() - sums.min())
             if variation > worst:
@@ -262,8 +262,8 @@ def phase_invariance_check(a, p: float, grid_size: int = 24, trials: int = 8,
 def _batch_violations(mats: np.ndarray, vecs: np.ndarray, p: float) -> np.ndarray:
     """Max |  ||A x||_p - ||x||_p  | per matrix, over all trial vectors."""
     outs = np.einsum("mjk,tk->mtj", mats, vecs)
-    out_norms = np.sum(np.abs(outs) ** p, axis=2) ** (1.0 / p)
-    in_norms = np.sum(np.abs(vecs) ** p, axis=1) ** (1.0 / p)
+    out_norms = p_norm(outs, p, axis=-1)
+    in_norms = p_norm(vecs, p, axis=-1)
     return np.max(np.abs(out_norms - in_norms[np.newaxis, :]), axis=1)
 
 

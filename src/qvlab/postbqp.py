@@ -31,7 +31,7 @@ import numpy as np
 
 from .engine import (Circuit, Gate, MeasurementRule, StateVector, apply_gate,
                      hadamard, marginal_distribution, postselect, run_circuit)
-from .linalg import PEqualsTwo, complete_to_unitary
+from .linalg import PEqualsTwo, complete_to_unitary, p_distribution
 
 # Overlap bounds for the two sides of the majority decision.
 OVERLAP_LOW_S = (1.0 + math.sqrt(2.0)) / math.sqrt(6.0)   # reached iff s < 2^(n-1)
@@ -92,9 +92,7 @@ def _tabulated_state(f: BooleanFunction) -> StateVector:
     """Uniform superposition of |x>|f(x)> on n+1 qubits (output qubit last)."""
     n = f.num_inputs
     amps = np.zeros(2 ** (n + 1), dtype=np.complex128)
-    scale = 2.0 ** (-n / 2.0)
-    for x in range(2 ** n):
-        amps[(x << 1) | f(x)] = scale
+    amps[(np.arange(2 ** n) << 1) | f.table] = 2.0 ** (-n / 2.0)
     return StateVector(amps)
 
 
@@ -300,6 +298,8 @@ def gadget_size(p: float, n: int) -> int:
 
 
 def _branch_pweights(state: StateVector, qubit: int, p: float) -> tuple[float, float]:
+    # Raw sums, not a normalized distribution: the certificate divides sums
+    # taken from the states before and after the gadget.
     idx = np.arange(state.amplitudes.size)
     mask = ((idx >> (state.num_qubits - 1 - qubit)) & 1) == 1
     weights = np.abs(state.amplitudes) ** p
@@ -357,41 +357,6 @@ def postselection_gadget(state: StateVector, qubit: int, p: float, m: int,
     return grown, GadgetReport(p, m, bit, conditioned, gadget_factor(p, m), measured)
 
 
-class _GadgetedRegister:
-    """System amplitudes plus exact per-basis p-weight multipliers.
-
-    Ancillas attached by a gadget live outside the simulated register; as
-    long as the gadgeted qubit is never gated again, their entire effect on
-    the final p-norm distribution is the factor 2^(m(1-p/2)) on the
-    conditioned branch, tracked here per basis state.  Exact, not a lossy
-    approximation; gating a frozen qubit raises instead of silently breaking
-    the factorization.
-    """
-
-    def __init__(self, state: StateVector, p: float):
-        self.state = state
-        self.p = p
-        self.weights = np.ones(state.amplitudes.size)
-        self.frozen: set[int] = set()
-
-    def apply(self, gate: Gate, targets):
-        if self.frozen.intersection(targets):
-            raise RuntimeError("gate touches a gadgeted qubit; factorization invalid")
-        self.state = apply_gate(self.state, gate, targets)
-
-    def gadget(self, qubit: int, bit: int, m: int):
-        conditioned = bit if self.p < 2 else 1 - bit
-        n = self.state.num_qubits
-        idx = np.arange(self.state.amplitudes.size)
-        mask = ((idx >> (n - 1 - qubit)) & 1) == conditioned
-        self.weights[mask] *= gadget_factor(self.p, m)
-        self.frozen.add(qubit)
-
-    def distribution(self) -> np.ndarray:
-        raw = self.weights * np.abs(self.state.amplitudes) ** self.p
-        return raw / raw.sum()
-
-
 def postbqp_decide_pnorm(f: BooleanFunction, p: float,
                          ancillas_per_gadget: int | None = None) -> MajorityDecision:
     """Majority decision using unitary gates and p-norm measurement only.
@@ -404,6 +369,7 @@ def postbqp_decide_pnorm(f: BooleanFunction, p: float,
     """
     if p == 2:
         raise PEqualsTwo("at p = 2 the gadgets are inert and the decision collapses")
+    p = MeasurementRule(p).p
     _check_padding(f)
     n = f.num_inputs
     m = gadget_size(p, n) if ancillas_per_gadget is None else int(ancillas_per_gadget)
@@ -411,30 +377,31 @@ def postbqp_decide_pnorm(f: BooleanFunction, p: float,
     ctrl_h = Gate(np.block([[np.eye(2), np.zeros((2, 2))],
                             [np.zeros((2, 2)), h.matrix]]), name="cH")
 
+    # Qubits 0..n-1 are the inputs, n the output, n+1 the mixing carrier.
+    # The i-independent prefix: tabulated state, input Hadamards, carrier |0>.
+    prefix = StateVector(np.kron(_after_input_hadamards(f).amplitudes, [1.0, 0.0]))
+    # Each gadget multiplies the p-weight of its conditioned branch by
+    # 2^(m(1-p/2)).  Its ancillas and its qubit are never gated again, so the
+    # factors apply exactly at measurement, as log2 gains per basis state:
+    # one per input qubit on bit 0 and one on the output qubit on bit 1, the
+    # condition flipped to the other bit for p > 2.
+    idx = np.arange(prefix.amplitudes.size)
+    flip = int(p > 2)
+    gadgets_hit = (((idx >> 1) & 1) == 1 - flip).astype(np.int64)
+    for q in range(n):
+        gadgets_hit += ((idx >> (n + 1 - q)) & 1) == flip
+    log2_gain = m * (1.0 - p / 2.0) * gadgets_hit
+
     per_i = []
     for i in range(-n, n + 1):
         r = 2.0 ** i
         alpha = 1.0 / math.sqrt(1.0 + r * r)
         beta = r * alpha
-
-        amps = np.zeros(2 ** (n + 2), dtype=np.complex128)
-        scale = 2.0 ** (-n / 2.0)
-        for x in range(2 ** n):
-            amps[(x << 2) | (f(x) << 1)] = scale
-        reg = _GadgetedRegister(StateVector(amps), p)
-        for q in range(n):
-            reg.apply(h, [q])
-        for q in range(n):
-            reg.gadget(q, 0, m)
-        reg.apply(Gate([[alpha, -beta], [beta, alpha]], name="mix"), [n + 1])
-        reg.apply(ctrl_h, [n + 1, n])
-        reg.gadget(n, 1, m)
-        reg.apply(h, [n + 1])
-
-        dist = reg.distribution()
-        idx = np.arange(dist.size)
-        p_plus = float(dist[(idx & 1) == 0].sum())   # qubit n+1 == 0 after H
-        per_i.append((i, p_plus))
+        state = apply_gate(prefix, Gate([[alpha, -beta], [beta, alpha]], name="mix"), [n + 1])
+        state = apply_gate(state, ctrl_h, [n + 1, n])
+        state = apply_gate(state, h, [n + 1])
+        dist = p_distribution(state.amplitudes, p, log2_gain)
+        per_i.append((i, float(dist[0::2].sum())))   # qubit n+1 == 0 after H
 
     hit = any(v >= SAMPLED_THRESHOLD for _, v in per_i)
     verdict = "LessThanHalf" if hit else "GreaterThanHalf"

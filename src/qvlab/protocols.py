@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Gate, MeasurementRule, apply_gate, bell_pair, marginal_distribution
-from .linalg import PEqualsTwo, complete_to_unitary
+from .linalg import PEqualsTwo, complete_to_unitary, p_distribution
 from .report import CheckReport
 
 RESCALE_NOTE = ("measurement columns rescaled by sqrt(2) to be orthonormal; "
@@ -77,9 +77,7 @@ def discrimination_distribution(setup: DiscriminationSetup, j: int) -> np.ndarra
     """Exact p-norm outcome distribution when the true state is j."""
     v = np.zeros(setup.d)
     v[:2] = setup.states[j]
-    w = setup.unitary @ v
-    raw = np.abs(w) ** setup.p
-    return raw / raw.sum()
+    return p_distribution(setup.unitary @ v, setup.p)
 
 
 def discrimination_error(setup: DiscriminationSetup, j: int) -> float:
@@ -231,8 +229,7 @@ def signalling_multistate_ii(d: int, p: float, epsilon: float = 1e-3) -> Signall
         m = steering_map(math.pi * j / d, epsilon)
         joint = m / math.sqrt(1.0 + epsilon ** 2)   # rows: Alice, cols: Bob
         fanned = joint @ embed.T                     # 2 x d
-        raw = np.abs(fanned) ** p
-        dist = (raw / raw.sum()).sum(axis=0)
+        dist = p_distribution(fanned, p).sum(axis=0)
         dists[f"j={j}"] = dist
         successes.append(float(dist[j]))
     worst = min(successes)
@@ -259,14 +256,9 @@ def option_i_ensembles(p: float, d: int) -> tuple[np.ndarray, np.ndarray]:
     """
     setup = build_discrimination_setup(d, p)
     embed = setup.unitary[:, :2]
-
-    def dist(v: np.ndarray) -> np.ndarray:
-        raw = np.abs(embed @ v) ** p
-        return raw / raw.sum()
-
     r = math.sqrt(0.5)
-    z = 0.5 * (dist(np.array([1.0, 0.0])) + dist(np.array([0.0, 1.0])))
-    x = 0.5 * (dist(np.array([r, r])) + dist(np.array([r, -r])))
+    z = 0.5 * (p_distribution(embed[:, 0], p) + p_distribution(embed[:, 1], p))
+    x = 0.5 * (p_distribution(embed @ [r, r], p) + p_distribution(embed @ [r, -r], p))
     return z, x
 
 

@@ -216,6 +216,17 @@ def test_discriminate_monte_carlo_and_even_d(files, capsys):
     assert "bound_check" not in envelope(out)["report"]
 
 
+def test_discriminate_large_p_writes_strict_json(files, capsys):
+    code, out, _ = run(["discriminate", "--d", "101", "--p", "1100"], capsys)
+    assert code == 0
+
+    def reject(name):
+        raise ValueError(f"non-finite {name} in report")
+
+    report = json.loads(out, parse_constant=reject)["report"]
+    assert report["error"] == pytest.approx(report["error_closed_form"], abs=1e-12)
+
+
 def test_discriminate_csv_sweep(files, capsys):
     code, out, _ = run(["discriminate", "--d", "5", "--format", "csv"], capsys)
     assert code == 0

@@ -26,6 +26,8 @@ def test_p_norm_known_values():
     assert p_norm(v, 1) == pytest.approx(7.0)
     assert p_norm(v, math.inf) == pytest.approx(4.0)
     assert p_norm(np.array([1j, -1]), 4) == pytest.approx(2 ** 0.25)
+    assert p_norm([0.5, 0.5], 1100) == 0.5 * 2 ** (1 / 1100)   # 0.5^1100 underflows
+    assert p_norm(np.array([[3.0, 4.0], [0.0, 0.0]]), 2, axis=-1).tolist() == [5.0, 0.0]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -math.inf])

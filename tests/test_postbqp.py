@@ -6,10 +6,10 @@ import pytest
 
 from qvlab.engine import (Gate, MeasurementRule, StateVector, apply_gate,
                           hadamard, marginal_distribution)
-from qvlab.linalg import PEqualsTwo
+from qvlab.linalg import NonPositiveP, PEqualsTwo
 from qvlab.postbqp import (EXACT_THRESHOLD, OVERLAP_HIGH_S, OVERLAP_LOW_S,
                            SAMPLED_THRESHOLD, BooleanFunction,
-                           PaddingViolation, _GadgetedRegister,
+                           PaddingViolation,
                            count_state_exact, count_state_weight,
                            gadget_factor, gadget_size, or_solve_nonunitary,
                            plus_overlap, plus_overlap_simulated,
@@ -218,16 +218,6 @@ def test_gadget_rejections_and_degenerate_sizes():
     assert report.measured_factor == pytest.approx(1.0)
 
 
-def test_gadgeted_register_freezes_qubits():
-    reg = _GadgetedRegister(StateVector.ground(2), 1.0)
-    reg.apply(hadamard(), [0])
-    reg.gadget(0, 1, 3)
-    with pytest.raises(RuntimeError):
-        reg.apply(hadamard(), [0])
-    reg.apply(hadamard(), [1])  # untouched qubits stay usable
-    assert reg.distribution().sum() == pytest.approx(1.0)
-
-
 def test_decide_pnorm_matches_exact_oracle():
     n = 2
     for p in (1.0, 4.0):
@@ -241,6 +231,16 @@ def test_decide_pnorm_matches_exact_oracle():
             assert decision.mode == "pnorm-gadget"
             assert decision.threshold == SAMPLED_THRESHOLD
             assert decision.details["gadgets"] == n + 1
+    # Near p = 2 the gadgets carry factors 2^(m(1-p/2)) far beyond float64
+    # (n=10 at p=1.99 and n=12 at p=1.9 once overflowed to NaN verdicts).
+    for n in range(3, 13):
+        for s in {1, 2 ** (n - 1) - 1, 2 ** (n - 1) + 1, 2 ** n - 1}:
+            f = table_with_count(n, s)
+            want = postbqp_decide(f).verdict
+            for p in (1.0, 1.9, 1.99, 3.0, 4.0, 6.0):
+                decision = postbqp_decide_pnorm(f, p)
+                assert decision.verdict == want, (n, s, p)
+                assert all(math.isfinite(v) for _, v in decision.per_i), (n, s, p)
 
 
 def test_decide_pnorm_rejections():
@@ -249,38 +249,41 @@ def test_decide_pnorm_rejections():
         postbqp_decide_pnorm(f, 2.0)
     with pytest.raises(PaddingViolation):
         postbqp_decide_pnorm(table_with_count(2, 2), 4.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(NonPositiveP):
+            postbqp_decide_pnorm(f, bad)
 
 
 def test_decide_pnorm_weight_tracking_matches_real_ancillas():
-    """The frozen-weight shortcut must agree exactly with materialized gadgets."""
-    n, p, m, i = 2, 1.0, 3, 0
+    """The gadget log2 gains must agree exactly with materialized gadgets."""
+    n = 2
     f = BooleanFunction(n, [0, 1, 0, 0])
-
-    decision = postbqp_decide_pnorm(f, p, ancillas_per_gadget=m)
-    shortcut = dict(decision.per_i)[i]
-
-    r = 2.0 ** i
-    alpha = 1.0 / math.sqrt(1.0 + r * r)
-    beta = r * alpha
     h = hadamard()
     ctrl_h = Gate(np.block([[np.eye(2), np.zeros((2, 2))],
                             [np.zeros((2, 2)), h.matrix]]), name="cH")
-
-    amps = np.zeros(2 ** (n + 2), dtype=complex)
-    for x in range(2 ** n):
-        amps[(x << 2) | (f(x) << 1)] = 2.0 ** (-n / 2)
-    state = StateVector(amps)
-    for q in range(n):
-        state = apply_gate(state, h, [q])
-    for q in range(n):
-        state, _ = postselection_gadget(state, q, p, m, bit=0)
-    state = apply_gate(state, Gate([[alpha, -beta], [beta, alpha]], name="mix"), [n + 1])
-    state = apply_gate(state, ctrl_h, [n + 1, n])
-    state, _ = postselection_gadget(state, n, p, m, bit=1)
-    state = apply_gate(state, h, [n + 1])
-    materialized = marginal_distribution(state, [n + 1], MeasurementRule(p))[0]
-
-    assert shortcut == pytest.approx(materialized, abs=1e-12)
+    for p in (1.0, 1.5, 3.0, 4.0):
+        for m in (2, 3):
+            decision = postbqp_decide_pnorm(f, p, ancillas_per_gadget=m)
+            for i, shortcut in decision.per_i:
+                r = 2.0 ** i
+                alpha = 1.0 / math.sqrt(1.0 + r * r)
+                beta = r * alpha
+                amps = np.zeros(2 ** (n + 2), dtype=complex)
+                for x in range(2 ** n):
+                    amps[(x << 2) | (f(x) << 1)] = 2.0 ** (-n / 2)
+                state = StateVector(amps)
+                for q in range(n):
+                    state = apply_gate(state, h, [q])
+                for q in range(n):
+                    state, _ = postselection_gadget(state, q, p, m, bit=0)
+                state = apply_gate(state, Gate([[alpha, -beta], [beta, alpha]], name="mix"),
+                                   [n + 1])
+                state = apply_gate(state, ctrl_h, [n + 1, n])
+                state, _ = postselection_gadget(state, n, p, m, bit=1)
+                state = apply_gate(state, h, [n + 1])
+                assert state.num_qubits == n + 2 + (n + 1) * m
+                materialized = marginal_distribution(state, [n + 1], MeasurementRule(p))[0]
+                assert shortcut == pytest.approx(materialized, abs=1e-12), (p, m, i)
 
 
 def test_majority_decision_dict_shape():

@@ -36,12 +36,16 @@ def test_setup_rejections():
 
 
 def test_distribution_is_shifted_cosine():
-    d, p, j = 5, 3.0, 2
-    setup = build_discrimination_setup(d, p)
-    dist = discrimination_distribution(setup, j)
-    k = np.arange(d)
-    raw = np.abs(np.cos(np.pi * (k - j) / d)) ** p
-    assert np.allclose(dist, raw / raw.sum(), atol=1e-12)
+    # at d=101, p=1024 every amplitude^p underflows; the distribution must not
+    for d, p, j in ((5, 3.0, 2), (101, 1024.0, 0)):
+        setup = build_discrimination_setup(d, p)
+        dist = discrimination_distribution(setup, j)
+        k = np.arange(d)
+        raw = np.abs(np.cos(np.pi * (k - j) / d)) ** p
+        assert np.all(np.isfinite(dist))
+        assert np.allclose(dist, raw / raw.sum(), atol=1e-12)
+        assert discrimination_error(setup, j) == pytest.approx(
+            discrimination_error_closed_form(d, p), abs=1e-12)
 
 
 def test_error_three_states_p4():

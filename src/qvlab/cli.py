@@ -171,9 +171,10 @@ def _cmd_gadget(args) -> int:
     body = rep.to_dict()
     body["qubit_marginal"] = [float(x) for x in marg]
     body["grown_qubits"] = grown.num_qubits
-    ok = (rep.measured_factor is not None
-          and abs(rep.measured_factor - rep.closed_form_factor)
-          <= args.tol * max(1.0, rep.closed_form_factor))
+    # compared as log2 exponents: the linear factors underflow at large p
+    ok = (rep.measured_log2 is not None
+          and abs(rep.measured_log2 - rep.closed_form_log2)
+          <= args.tol * max(1.0, abs(rep.closed_form_log2)))
     _emit(args, body, ok)
     return 0 if ok else 1
 

@@ -1,10 +1,7 @@
 """Vector norms and the orthogonal-matrix machinery used across the package.
 
-The block decomposition here deliberately avoids general eigensolvers: it runs
-a cyclic Jacobi iteration (two-sided plane rotations) on the symmetric part of
-the input, then pairs rotation planes off the antisymmetric part.  That keeps
-the construction deterministic and self-contained for the small dimensions
-this package targets (<= 64).
+The plane-rotation block decomposition of a real orthogonal matrix is read
+off scipy's real Schur form, so it works at any dimension.
 """
 from __future__ import annotations
 
@@ -12,15 +9,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 # Default tolerances. All of these can be overridden per call.
 ORTHONORMAL_TOL = 1e-10
 GRAM_SCHMIDT_SKIP_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-9
-MAX_DECOMPOSE_DIM = 64
-
-_CLUSTER_TOL = 1e-8       # symmetric-part eigenvalue clustering
-_SPLIT_TOL = 1e-10        # rotation-plane vs fixed-axis classification
 
 
 class NonPositiveP(ValueError):
@@ -193,56 +187,19 @@ def blocks_det(blocks) -> int:
     return sign
 
 
-def _jacobi_symmetric(s: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues, q) with q orthogonal and q.T @ s @ q diagonal.
-    Deterministic: pivots sweep the upper triangle in row-major order.
-    """
-    a = np.array(s, dtype=np.float64)
-    n = a.shape[0]
-    q = np.eye(n)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            row_max = np.max(np.abs(a[i, i + 1:]))
-            off = max(off, row_max)
-        if off <= tol * scale:
-            break
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                apq = a[i, j]
-                if abs(apq) <= 0.1 * tol * scale:
-                    continue
-                theta = (a[j, j] - a[i, i]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                sn = t * c
-                rot_i = c * a[i, :] - sn * a[j, :]
-                rot_j = sn * a[i, :] + c * a[j, :]
-                a[i, :], a[j, :] = rot_i, rot_j
-                col_i = c * a[:, i] - sn * a[:, j]
-                col_j = sn * a[:, i] + c * a[:, j]
-                a[:, i], a[:, j] = col_i, col_j
-                qi = c * q[:, i] - sn * q[:, j]
-                qj = sn * q[:, i] + c * q[:, j]
-                q[:, i], q[:, j] = qi, qj
-    return np.diag(a).copy(), q
-
-
 def rotation_block_decompose(u, tol: float = ORTHONORMAL_TOL,
                              recon_tol: float = RECONSTRUCTION_TOL):
     """Factor real orthogonal ``u`` as q @ B @ q.T with B in rotation normal form.
 
     Returns (q, blocks) where q is real orthogonal and blocks is a list of
-    OrthogonalBlock describing B: 2x2 rotations (angle in (0, pi)) followed by
-    +1 and -1 axes, ordered by descending symmetric-part eigenvalue.
+    OrthogonalBlock describing B in a fixed order: the 2x2 rotations (angle
+    in (0, pi)), then the +1 axes, then the -1 axes as a contiguous suffix.
 
-    The routine certifies its own output and raises DecompositionError if the
-    reconstruction residual exceeds ``recon_tol``.  Inputs crafted so that two
-    distinct rotation angles share a cosine to ~1e-14 can trip that guard;
-    random and structured matrices do not.
+    The blocks are read off scipy's real Schur form u = z @ t @ z.T: u is
+    normal, so t is block diagonal up to roundoff, each 2x2 block a rotation
+    and each 1x1 block a +-1 axis.  The routine certifies its own output and
+    raises DecompositionError if the reconstruction residual exceeds
+    ``recon_tol``.
     """
     u = np.asarray(u)
     if np.iscomplexobj(u):
@@ -253,66 +210,30 @@ def rotation_block_decompose(u, tol: float = ORTHONORMAL_TOL,
     n = u.shape[0]
     if u.ndim != 2 or u.shape[1] != n:
         raise NotOrthogonal("matrix must be square")
-    if n > MAX_DECOMPOSE_DIM:
-        raise NotOrthogonal(f"dimension {n} exceeds supported maximum {MAX_DECOMPOSE_DIM}")
-    if np.max(np.abs(u.T @ u - np.eye(n))) > tol:
+    if not np.max(np.abs(u.T @ u - np.eye(n))) <= tol:   # NaN fails too
         raise NotOrthogonal(f"matrix is not orthogonal within {tol:g}")
 
-    sym = (u + u.T) / 2.0
-    eigvals, q0 = _jacobi_symmetric(sym)
-    order = np.argsort(-eigvals, kind="stable")
-    eigvals = eigvals[order]
-    q0 = q0[:, order]
-
-    # group eigenvalues of the symmetric part into clusters
-    clusters: list[list[int]] = [[0]] if n else []
-    for idx in range(1, n):
-        if eigvals[idx - 1] - eigvals[idx] <= _CLUSTER_TOL:
-            clusters[-1].append(idx)
+    t, z = scipy.linalg.schur(u, output="real")
+    rot_cols: list[int] = []
+    angles: list[float] = []
+    plus: list[int] = []
+    minus: list[int] = []
+    i = 0
+    while i < n:
+        if i + 1 < n and t[i + 1, i] != 0.0:
+            # a 2x2 block is a rotation; swapping its two axes flips the
+            # sign of its angle, which keeps the angle in (0, pi)
+            s = (t[i + 1, i] - t[i, i + 1]) / 2.0
+            c = (t[i, i] + t[i + 1, i + 1]) / 2.0
+            rot_cols += [i, i + 1] if s > 0 else [i + 1, i]
+            angles.append(math.atan2(abs(s), c))
+            i += 2
         else:
-            clusters.append([idx])
-
-    out_cols: list[np.ndarray] = []
-    blocks: list[OrthogonalBlock] = []
-    for cluster in clusters:
-        qc = q0[:, cluster]               # n x m, orthonormal
-        m = qc.T @ u @ qc
-        k = (m - m.T) / 2.0
-        basis = np.eye(len(cluster))       # working coords inside the cluster
-        while basis.shape[1] > 0:
-            kv = k @ basis
-            norms = np.linalg.norm(kv, axis=0)
-            pick = int(np.argmax(norms))
-            v = basis[:, pick]
-            if norms[pick] > _SPLIT_TOL:
-                w = kv[:, pick] / norms[pick]
-                w = w - (v @ w) * v
-                w = w / np.linalg.norm(w)
-                c = (v @ m @ v + w @ m @ w) / 2.0
-                s = (w @ m @ v - v @ m @ w) / 2.0
-                angle = math.atan2(s, c)
-                blocks.append(OrthogonalBlock("rotation", angle))
-                out_cols.append(qc @ v)
-                out_cols.append(qc @ w)
-                keep = np.delete(basis, pick, axis=1)
-                # project out the extracted plane, then re-orthonormalize
-                for vec in (v, w):
-                    keep = keep - np.outer(vec, vec @ keep)
-                new_cols = []
-                for col in keep.T:
-                    for b in new_cols:
-                        col = col - (b @ col) * b
-                    nb = np.linalg.norm(col)
-                    if nb > 0.5:
-                        new_cols.append(col / nb)
-                basis = np.column_stack(new_cols) if new_cols else np.zeros((len(cluster), 0))
-            else:
-                sigma = v @ m @ v
-                blocks.append(OrthogonalBlock("+1" if sigma > 0 else "-1"))
-                out_cols.append(qc @ v)
-                basis = np.delete(basis, pick, axis=1)
-
-    q = np.column_stack(out_cols) if out_cols else np.zeros((n, 0))
+            (plus if t[i, i] > 0 else minus).append(i)
+            i += 1
+    q = z[:, rot_cols + plus + minus]
+    blocks = ([OrthogonalBlock("rotation", a) for a in angles]
+              + [OrthogonalBlock("+1")] * len(plus) + [OrthogonalBlock("-1")] * len(minus))
     residual = float(np.max(np.abs(q @ blocks_to_matrix(blocks) @ q.T - u)))
     if residual > recon_tol:
         raise DecompositionError(

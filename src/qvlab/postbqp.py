@@ -31,7 +31,7 @@ import numpy as np
 
 from .engine import (Circuit, Gate, MeasurementRule, StateVector, apply_gate,
                      hadamard, marginal_distribution, postselect, run_circuit)
-from .linalg import PEqualsTwo, complete_to_unitary, p_distribution
+from .linalg import PEqualsTwo, complete_to_unitary, p_distribution, p_norm
 
 # Overlap bounds for the two sides of the majority decision.
 OVERLAP_LOW_S = (1.0 + math.sqrt(2.0)) / math.sqrt(6.0)   # reached iff s < 2^(n-1)
@@ -266,14 +266,27 @@ def or_solve_nonunitary(f: BooleanFunction) -> OrDecision:
 
 @dataclass
 class GadgetReport:
-    """Certified effect of one postselection gadget application."""
+    """Certified effect of one postselection gadget application.
+
+    The factors are held as log2 exponents, so the certificate stays
+    meaningful where 2^(m(1-p/2)) underflows (p in the thousands); the
+    linear factors are derived from them for the report.
+    """
 
     p: float
     ancillas: int
     favored_bit: int
     conditioned_bit: int
-    closed_form_factor: float
-    measured_factor: float | None
+    closed_form_log2: float
+    measured_log2: float | None
+
+    @property
+    def closed_form_factor(self) -> float:
+        return 2.0 ** self.closed_form_log2
+
+    @property
+    def measured_factor(self) -> float | None:
+        return None if self.measured_log2 is None else 2.0 ** self.measured_log2
 
     def to_dict(self) -> dict:
         return {
@@ -298,12 +311,15 @@ def gadget_size(p: float, n: int) -> int:
 
 
 def _branch_pweights(state: StateVector, qubit: int, p: float) -> tuple[float, float]:
-    # Raw sums, not a normalized distribution: the certificate divides sums
-    # taken from the states before and after the gadget.
-    idx = np.arange(state.amplitudes.size)
-    mask = ((idx >> (state.num_qubits - 1 - qubit)) & 1) == 1
-    weights = np.abs(state.amplitudes) ** p
-    return float(weights[mask].sum()), float(weights[~mask].sum())
+    """log2 of the raw p-weight sums sum |a|^p on the qubit's 1 and 0 branches.
+
+    Raw sums, not a normalized distribution: the certificate divides sums
+    taken from the states before and after the gadget.  Each is p log2 of
+    the branch's scale-safe p-norm, -inf for an empty branch.
+    """
+    split = state.amplitudes.reshape(2 ** qubit, 2, -1)
+    norms = (p_norm(split[:, 1], p), p_norm(split[:, 0], p))
+    return tuple(p * math.log2(v) if v > 0 else -math.inf for v in norms)
 
 
 def postselection_gadget(state: StateVector, qubit: int, p: float, m: int,
@@ -348,13 +364,14 @@ def postselection_gadget(state: StateVector, qubit: int, p: float, m: int,
         cb, ob, ca, oa = w1_before, w0_before, w1_after, w0_after
     else:
         cb, ob, ca, oa = w0_before, w1_before, w0_after, w1_after
-    if cb > 0 and ob > 0 and oa > 0:
-        measured = (ca / oa) / (cb / ob)
-    elif cb > 0:
-        measured = ca / cb
+    # log2 of (ca / oa) / (cb / ob), or of ca / cb without an other branch
+    if cb > -math.inf and ob > -math.inf and oa > -math.inf:
+        measured = (ca - oa) - (cb - ob)
+    elif cb > -math.inf:
+        measured = ca - cb
     else:
         measured = None
-    return grown, GadgetReport(p, m, bit, conditioned, gadget_factor(p, m), measured)
+    return grown, GadgetReport(p, m, bit, conditioned, m * (1.0 - p / 2.0), measured)
 
 
 def postbqp_decide_pnorm(f: BooleanFunction, p: float,

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import (MAX_DECOMPOSE_DIM, NotOrthogonal, NotUnitary,
-                     OrthogonalBlock, blocks_det, blocks_to_matrix,
-                     is_real_orthogonal, is_unitary, rotation_block_decompose)
+from .linalg import (NotOrthogonal, NotUnitary, OrthogonalBlock, blocks_det,
+                     blocks_to_matrix, is_real_orthogonal, is_unitary,
+                     rotation_block_decompose)
 
 RESIDUAL_TOL = 1e-9
 DETERMINANT_NEGATIVE = "DeterminantNegative"
@@ -98,8 +98,9 @@ def _halved_blocks(blocks: list[OrthogonalBlock], k: int) -> list[OrthogonalBloc
     return out
 
 
-def _real_root_result(u: np.ndarray, k: int) -> SqrtResult:
-    q, blocks = rotation_block_decompose(u)
+def _real_root_result(u: np.ndarray, q: np.ndarray, blocks: list[OrthogonalBlock],
+                      k: int) -> SqrtResult:
+    """k-th root of u = q @ blocks @ q.T, certified against u itself."""
     det = blocks_det(blocks)
     if det < 0 and k % 2 == 0:
         return SqrtResult(False, None, DETERMINANT_NEGATIVE, None, power=k)
@@ -122,7 +123,16 @@ def real_orthogonal_sqrt(u) -> SqrtResult:
     u = np.asarray(u, dtype=float)
     if not is_real_orthogonal(u):
         raise NotOrthogonal("input is not real orthogonal within tolerance")
-    return _real_root_result(u, 2)
+    return _real_root_result(u, *rotation_block_decompose(u), 2)
+
+
+def _bordered(m: np.ndarray, corner: float) -> np.ndarray:
+    """diag(m, corner): m with one more row and column."""
+    n = m.shape[0]
+    out = np.zeros((n + 1, n + 1))
+    out[:n, :n] = m
+    out[n, n] = corner
+    return out
 
 
 def embed_sqrt(u) -> SqrtResult:
@@ -131,18 +141,26 @@ def embed_sqrt(u) -> SqrtResult:
     Extends u with one diagonal entry det(u), landing in SO(n+1) whatever
     the sign, then takes the real square root there.  The returned root V
     satisfies V @ V = diag(u, det(u)), which contains u as its leading
-    n x n submatrix.
+    n x n submatrix.  u is decomposed once; the new axis joins its
+    decomposition as a +1 block (det = +1) or as one more -1 block
+    (det = -1).  For det = -1 the root is one of several valid ones: the
+    quarter turns that pair up the -1 axes have no unique orientation.
     """
     u = np.asarray(u, dtype=float)
     if not is_real_orthogonal(u):
         raise NotOrthogonal("input is not real orthogonal within tolerance")
-    _, blocks = rotation_block_decompose(u)
+    q, blocks = rotation_block_decompose(u)
     det = blocks_det(blocks)
     n = u.shape[0]
-    uhat = np.zeros((n + 1, n + 1))
-    uhat[:n, :n] = u
-    uhat[n, n] = det
-    return _real_root_result(uhat, 2)
+    qhat = _bordered(q, 1.0)
+    if det > 0:
+        # the new +1 axis goes in front of the -1 suffix
+        minus = sum(b.kind == "-1" for b in blocks)
+        blocks.insert(len(blocks) - minus, OrthogonalBlock("+1"))
+        qhat = qhat[:, list(range(n - minus)) + [n] + list(range(n - minus, n))]
+    else:
+        blocks.append(OrthogonalBlock("-1"))
+    return _real_root_result(_bordered(u, det), qhat, blocks, 2)
 
 
 def kth_root_scan(u, k: int, field: str | None = None) -> SqrtResult:
@@ -153,6 +171,9 @@ def kth_root_scan(u, k: int, field: str | None = None) -> SqrtResult:
     obstruction: a real orthogonal k-th root exists iff det(u) = +1 or k is
     odd, since det(V)^k = det(u) forces det(u) = +1 for even k, while for
     odd k every -1 entry is its own k-th root and rotation angles divide.
+    For even k with paired -1 axes the real root is one of several valid
+    ones: the orientation of each pi/k turn on the -1 eigenspace is not
+    unique.
     """
     k = int(k)
     if k < 2:
@@ -170,4 +191,4 @@ def kth_root_scan(u, k: int, field: str | None = None) -> SqrtResult:
     u = np.asarray(u, dtype=float)
     if not is_real_orthogonal(u):
         raise NotOrthogonal("input is not real orthogonal within tolerance")
-    return _real_root_result(u, k)
+    return _real_root_result(u, *rotation_block_decompose(u), k)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from qvlab import postbqp
 from qvlab.cli import main
 from qvlab.postbqp import EXACT_THRESHOLD
 
@@ -193,6 +195,29 @@ def test_gadget_custom_state_and_p2_rejection(files, capsys):
     code, _, err = run(["gadget", "--m", "2", "--p", "2"], capsys)
     assert code == 2
     assert "p = 2" in err
+
+
+@pytest.mark.parametrize("p", ["1100", "3000"])
+def test_gadget_large_p_certifies_in_log2(files, capsys, p):
+    # 2^(4(1-p/2)) underflows to 0.0 here; the certificate compares log2 factors
+    code, out, _ = run(["gadget", "--m", "4", "--p", p], capsys)
+    assert code == 0
+    data = envelope(out)
+    assert data["pass"] is True
+    assert data["report"]["measured_factor"] is not None
+
+
+def test_gadget_wrong_closed_form_fails_at_large_p(files, capsys, monkeypatch):
+    gadget = postbqp.postselection_gadget
+
+    def off_by_two(*args, **kwargs):
+        grown, rep = gadget(*args, **kwargs)
+        return grown, dataclasses.replace(rep, closed_form_log2=rep.closed_form_log2 - 1.0)
+
+    monkeypatch.setattr(postbqp, "postselection_gadget", off_by_two)
+    code, out, _ = run(["gadget", "--m", "4", "--p", "1100"], capsys)
+    assert code == 1
+    assert envelope(out)["pass"] is False
 
 
 def test_discriminate_three_states(files, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +105,44 @@ def test_decompose_repeated_angle_cluster():
     assert sorted(b.kind for b in blocks) == ["rotation", "rotation"]
 
 
+# Rotation angles within 1e-8 of 0 or pi: the rotation's eigenvalues nearly
+# coincide with those of the +-1 axes next to it.
+NEAR_DEGENERATE = {
+    "near_identity": [rot(1e-8), 1.0],
+    "near_half_turn": [rot(math.pi - 1e-8), -1.0, -1.0],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NEAR_DEGENERATE))
+def test_decompose_near_degenerate_angles(kind):
+    base = scipy.linalg.block_diag(*NEAR_DEGENERATE[kind])
+    for _ in range(20):
+        q = haar_orthogonal(base.shape[0], RNG)
+        u = q @ base @ q.T
+        qu, blocks = rotation_block_decompose(u)
+        assert np.max(np.abs(qu @ blocks_to_matrix(blocks) @ qu.T - u)) <= 1e-12
+        assert blocks_det(blocks) == round(np.linalg.det(u))
+
+
+@pytest.mark.parametrize("n", [65, 128])
+def test_decompose_beyond_sixty_four_dimensions(n):
+    u = haar_orthogonal(n, RNG)
+    q, blocks = rotation_block_decompose(u)
+    assert np.max(np.abs(q @ blocks_to_matrix(blocks) @ q.T - u)) <= 1e-12
+    assert blocks_det(blocks) == round(np.linalg.det(u))
+
+
+def test_decompose_block_order():
+    """Rotations first, then the +1 axes, then the -1 axes as a suffix."""
+    base = scipy.linalg.block_diag(rot(-0.7), -1.0, rot(2.0), 1.0, -1.0, rot(math.pi - 1e-8))
+    q = haar_orthogonal(9, RNG)
+    _, blocks = rotation_block_decompose(q @ base @ q.T)
+    kinds = [b.kind for b in blocks]
+    assert kinds == ["rotation"] * 3 + ["+1", "-1", "-1"]
+    angles = sorted(b.angle for b in blocks if b.kind == "rotation")
+    assert angles == pytest.approx([0.7, 2.0, math.pi - 1e-8], abs=1e-12)
+
+
 def test_decompose_opposite_angles():
     base = np.zeros((4, 4))
     base[:2, :2] = rot(0.9)
@@ -130,6 +169,8 @@ def test_decompose_haar_batch(n):
 def test_decompose_rejects_non_orthogonal():
     with pytest.raises(NotOrthogonal):
         rotation_block_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(NotOrthogonal):
+        rotation_block_decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_decompose_identity_and_negated_identity():

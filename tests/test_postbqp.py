@@ -205,6 +205,21 @@ def test_gadget_above_two_conditions_other_branch():
     assert p1 == pytest.approx(1.0 / (1.0 + 0.25), abs=1e-12)
 
 
+def test_gadget_certificate_in_log2_at_large_p():
+    state = StateVector(np.array([1.0, 1.0]) / math.sqrt(2))
+    for p in (1100.0, 3000.0):
+        _, report = postselection_gadget(state, 0, p, 4)
+        assert report.closed_form_log2 == 4 * (1.0 - p / 2.0)
+        assert report.measured_log2 == pytest.approx(report.closed_form_log2, rel=1e-12)
+
+
+def test_gadget_empty_branches():
+    _, report = postselection_gadget(StateVector(np.array([1.0, 0.0])), 0, 1.0, 2)
+    assert report.measured_log2 is None and report.measured_factor is None
+    _, report = postselection_gadget(StateVector(np.array([0.0, 1.0])), 0, 1.0, 2)
+    assert report.measured_log2 == pytest.approx(1.0, abs=1e-15)
+
+
 def test_gadget_rejections_and_degenerate_sizes():
     state = StateVector(np.array([1.0, 1.0]) / math.sqrt(2))
     with pytest.raises(PEqualsTwo):

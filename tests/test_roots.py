@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import unitary_group
 
 from qvlab.linalg import NotOrthogonal, NotUnitary, haar_orthogonal
@@ -98,8 +99,8 @@ def test_real_sqrt_dichotomy_batch():
 def test_real_sqrt_rejects():
     with pytest.raises(NotOrthogonal):
         real_orthogonal_sqrt(np.ones((2, 2)))
-    with pytest.raises(NotOrthogonal, match="maximum"):
-        real_orthogonal_sqrt(np.eye(65))
+    big = real_orthogonal_sqrt(np.eye(65))   # no dimension cap
+    assert big.exists and big.residual == 0.0
 
 
 def test_mirror_fixture_is_integer_exact():
@@ -144,6 +145,38 @@ def test_embed_sqrt_batch_always_exists():
             uhat = v @ v
             assert np.allclose(uhat[:n, :n], u, atol=1e-9)
             assert uhat[n, n] == pytest.approx(np.linalg.det(u), abs=1e-9)
+
+
+@pytest.mark.parametrize("blocks", [
+    [rot(1e-8), 1.0],
+    [rot(math.pi - 1e-8), -1.0, -1.0],
+    [rot(math.pi - 1e-8), -1.0],
+], ids=["near_identity", "near_half_turn", "near_half_turn_reflection"])
+def test_roots_of_near_degenerate_angles(blocks):
+    rng = np.random.default_rng(67)
+    base = scipy.linalg.block_diag(*blocks)
+    n = base.shape[0]
+    det = round(np.linalg.det(base))
+    for _ in range(20):
+        q = haar_orthogonal(n, rng)
+        u = q @ base @ q.T
+        real = real_orthogonal_sqrt(u)
+        if det > 0:
+            assert real.exists and real.residual <= RESIDUAL_TOL
+        else:
+            assert real.obstruction == DETERMINANT_NEGATIVE
+        embedded = embed_sqrt(u)
+        assert embedded.exists and embedded.residual <= RESIDUAL_TOL
+        square = embedded.root @ embedded.root
+        assert np.allclose(square[:n, :n], u, atol=1e-9)
+        assert square[n, n] == pytest.approx(det, abs=1e-9)
+
+
+def test_embed_sqrt_at_sixty_four_dimensions():
+    u = haar_orthogonal(64, np.random.default_rng(71))
+    result = embed_sqrt(u)
+    assert result.exists and result.root.shape == (65, 65)
+    assert result.residual <= RESIDUAL_TOL
 
 
 def test_kth_root_divides_rotation_angle():

@@ -254,20 +254,13 @@ def _cmd_signal(args) -> int:
 
 def _cmd_sqrt(args) -> int:
     matrix = _load_matrix(args.matrix)
+    if not np.any(matrix.imag):
+        matrix = matrix.real   # so --field auto picks the real group
     if args.embed:
-        result = roots.embed_sqrt(np.real_if_close(matrix))
+        result = roots.embed_sqrt(matrix)
     else:
-        field = args.field
-        if field == "auto":
-            field = "complex" if np.iscomplexobj(matrix) and np.abs(matrix.imag).max() > 0 else "real"
-        if args.k == 2 and field == "complex":
-            result = roots.unitary_sqrt(matrix)
-        elif args.k == 2 and field == "real":
-            result = roots.real_orthogonal_sqrt(np.real_if_close(matrix).real)
-        else:
-            result = roots.kth_root_scan(
-                matrix if field == "complex" else np.real_if_close(matrix).real,
-                args.k, field=field)
+        field = None if args.field == "auto" else args.field
+        result = roots.kth_root_scan(matrix, args.k, field)
     body = result.to_dict()
     passed = result.exists and (result.residual or 0.0) <= roots.RESIDUAL_TOL
     _emit(args, body, passed)

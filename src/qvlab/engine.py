@@ -10,13 +10,18 @@ Three normalization modes govern how a gate acts:
   no renormalization (probabilities are normalized at measurement time).
 * ``local``    -- after the linear action, every branch over the non-target
   qubits is rescaled back to the 2-norm weight it had before the gate.
+  ``_rescale_branches`` is that rescale, with scale-safe norms; the path sum
+  in ``pathsum`` calls it too, so the two evaluators share one rule.
 
 Two nonlinear single-qubit maps act branchwise on (target=0, target=1)
 amplitude pairs with no renormalization: the phase-twist map
 (x, y) -> (x, e^{iy} y) and the quadratic map (x, y) -> (x^2 - conj(y)^2,
-2 Re(x y)).  How a 2-component nonlinear map should act on an entangled
-register is a modeling choice; branchwise application is the one used
-throughout this package.  Nonlinear steps are only accepted in global mode.
+2 Re(x y)).  ``phase_twist_map`` and ``quadratic_map`` take scalars or
+arrays, and ``_PAIR_MAPS`` picks one by gate kind for both ``apply_nonlinear``
+and the path sum.  How a 2-component nonlinear map should act on an
+entangled register is a modeling choice; branchwise application is the one
+used throughout this package.  Nonlinear steps are only accepted in global
+mode.
 
 States are never silently renormalized and the all-zero state is rejected
 wherever it would arise; measurement is scale invariant, so unnormalized
@@ -24,7 +29,6 @@ states are first-class values.
 """
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -145,12 +149,19 @@ def quadratic_gate() -> Gate:
     return Gate(kind="nonlinear-G", name="G")
 
 
-def phase_twist_map(x: complex, y: complex) -> tuple[complex, complex]:
-    return x, cmath.exp(1j * y) * y
+def phase_twist_map(x, y):
+    """(x, y) -> (x, e^{iy} y), on scalars or elementwise on arrays."""
+    return x, np.exp(1j * y) * y
 
 
-def quadratic_map(x: complex, y: complex) -> tuple[complex, complex]:
+def quadratic_map(x, y):
+    """(x, y) -> (x^2 - conj(y)^2, 2 Re(x y)), on scalars or elementwise on arrays."""
     return x * x - np.conj(y) ** 2, 2.0 * (x * y).real
+
+
+# the pair map of each nonlinear kind, under its gate kind and its JSON tag
+_PAIR_MAPS = {"nonlinear-W": phase_twist_map, "W": phase_twist_map,
+              "nonlinear-G": quadratic_map, "G": quadratic_map}
 
 
 class StateVector:
@@ -252,31 +263,34 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int],
     cols, shape = _target_columns(state, targets)
     new_cols = gate.matrix @ cols
     if mode is NormalizationMode.LOCAL:
-        before = np.linalg.norm(cols, axis=0)
-        after = np.linalg.norm(new_cols, axis=0)
-        dead = (before > 0.0) & (after == 0.0)
-        if np.any(dead):
-            raise ZeroBranch(
-                "a branch with nonzero weight was annihilated under local normalization")
-        scale = np.ones_like(before)
-        live = before > 0.0
-        scale[live] = before[live] / after[live]
-        new_cols = new_cols * scale[np.newaxis, :]
+        new_cols = _rescale_branches(cols, new_cols)
     amps = _columns_to_amps(new_cols, shape, targets, state.num_qubits)
     return StateVector(amps)
+
+
+def _rescale_branches(cols: np.ndarray, new_cols: np.ndarray) -> np.ndarray:
+    """Local normalization: scale each column of ``new_cols`` back to the
+    2-norm of the same column of ``cols``.
+
+    The norms are scale-safe, so a branch at any amplitude scale keeps its
+    weight; an empty branch stays empty.  Raises ZeroBranch when a nonzero
+    branch was mapped to zero.
+    """
+    before = p_norm(cols, 2.0, axis=0)
+    after = p_norm(new_cols, 2.0, axis=0)
+    if np.any((before > 0.0) & (after == 0.0)):
+        raise ZeroBranch(
+            "a branch with nonzero weight was annihilated under local normalization")
+    return new_cols * np.divide(before, after, out=np.ones_like(before), where=after > 0.0)
 
 
 def apply_nonlinear(state: StateVector, kind: str, target: int) -> StateVector:
     """Apply a nonlinear pair map branchwise to one qubit.  No renormalization."""
     targets = _check_targets(state.num_qubits, [target], 1)
-    cols, shape = _target_columns(state, targets)
-    x, y = cols[0], cols[1]
-    if kind in ("nonlinear-W", "W"):
-        new = np.vstack([x, np.exp(1j * y) * y])
-    elif kind in ("nonlinear-G", "G"):
-        new = np.vstack([x * x - np.conj(y) ** 2, 2.0 * (x * y).real])
-    else:
+    if kind not in _PAIR_MAPS:
         raise ValueError(f"unknown nonlinear kind {kind!r}")
+    cols, shape = _target_columns(state, targets)
+    new = np.vstack(_PAIR_MAPS[kind](cols[0], cols[1]))
     amps = _columns_to_amps(new, shape, targets, state.num_qubits)
     return StateVector(amps)
 
@@ -302,17 +316,22 @@ def marginal_distribution(state: StateVector, qubits: Sequence[int],
 
 
 def postselect(state: StateVector, qubit: int, bit: int) -> StateVector:
-    """Project onto qubit == bit and renormalize to unit 2-norm."""
-    n = state.num_qubits
-    if not 0 <= qubit < n:
+    """Project onto qubit == bit and renormalize to unit 2-norm.
+
+    The branch weight is a scale-safe 2-norm, so any amplitude scale works.
+    """
+    if not 0 <= qubit < state.num_qubits:
         raise ValueError("qubit out of range")
-    idx = np.arange(2 ** n)
-    keep = ((idx >> (n - 1 - qubit)) & 1) == int(bit)
-    amps = np.where(keep, state.amplitudes, 0.0)
-    weight = np.linalg.norm(amps)
+    bit = int(bit)
+    if bit not in (0, 1):
+        raise ValueError("bit must be 0 or 1")
+    split = state.amplitudes.reshape(2 ** qubit, 2, -1)
+    weight = p_norm(split[:, bit], 2.0)
     if weight == 0.0:
         raise ZeroProbabilityBranch(f"no amplitude on qubit {qubit} == {bit}")
-    return StateVector(amps / weight)
+    amps = np.zeros_like(split)
+    amps[:, bit] = split[:, bit] / weight
+    return StateVector(amps.reshape(-1))
 
 
 def sample(state: StateVector, rule: MeasurementRule | float = 2.0,

@@ -199,7 +199,9 @@ def rotation_block_decompose(u, tol: float = ORTHONORMAL_TOL,
     normal, so t is block diagonal up to roundoff, each 2x2 block a rotation
     and each 1x1 block a +-1 axis.  The routine certifies its own output and
     raises DecompositionError if the reconstruction residual exceeds
-    ``recon_tol``.
+    ``recon_tol``.  It is the only real-orthogonality check on the way to a
+    real root: input with an imaginary part above ``tol``, of the wrong
+    shape, or not orthogonal within ``tol`` raises NotOrthogonal.
     """
     u = np.asarray(u)
     if np.iscomplexobj(u):
@@ -207,9 +209,9 @@ def rotation_block_decompose(u, tol: float = ORTHONORMAL_TOL,
             raise NotOrthogonal("matrix has a complex part")
         u = u.real
     u = u.astype(np.float64)
-    n = u.shape[0]
-    if u.ndim != 2 or u.shape[1] != n:
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NotOrthogonal("matrix must be square")
+    n = u.shape[0]
     if not np.max(np.abs(u.T @ u - np.eye(n))) <= tol:   # NaN fails too
         raise NotOrthogonal(f"matrix is not orthogonal within {tol:g}")
 

@@ -10,7 +10,7 @@ dichotomy at three levels of rigor:
   sides of sum_j x_j^p == sum_j (sum_k a_jk x_k)^p as formal polynomials and
   compares every coefficient (exactly, when the entries are rational).
 * ``phase_invariance_check``: for complex inputs, sweeps a phase on one input
-  coordinate and watches sum_j |(Ax)_j|^p for variation, which for p != 2
+  coordinate and watches ||Ax||_p for relative variation, which for p != 2
   forces the column structure of a generalized diagonal matrix.
 
 ``island_scan`` hammers random matrix ensembles with the numeric check and
@@ -226,12 +226,14 @@ def preserves_pnorm_formal_even(a, p: int, tol: float = FORMAL_TOL) -> Preservat
 
 def phase_invariance_check(a, p: float, grid_size: int = 24, trials: int = 8,
                            seed: int | None = 0, tol: float = NUMERIC_TOL) -> PreservationVerdict:
-    """Sweep a phase on each input coordinate and watch sum_j |(Ax)_j|^p.
+    """Sweep a phase on each input coordinate and watch ||Ax||_p.
 
-    A p-norm preserver must hold that sum constant (the input's norm does not
-    move under x_l -> e^{i theta} x_l).  Reports the largest variation seen
-    over seeded base vectors, coordinates, and a theta grid; the witness is
-    the offending configuration.
+    A p-norm preserver must hold that norm constant (the input's norm does
+    not move under x_l -> e^{i theta} x_l).  Reports the largest variation
+    seen over seeded base vectors, coordinates, and a theta grid, taken
+    relative to the sweep's maximum, (max - min) / max of the scale-safe
+    norms, so it means the same at every p and every scale of A; the witness
+    is the offending configuration.
     """
     if not (p > 0):
         raise NonPositiveP(f"p must be positive (got {p})")
@@ -247,9 +249,9 @@ def phase_invariance_check(a, p: float, grid_size: int = 24, trials: int = 8,
         for l in range(n):
             sweep = np.tile(x, (grid_size, 1))
             sweep[:, l] = phases * x[l]
-            # raw sums: the residual is defined on sum_j |(Ax)_j|^p itself
-            sums = np.sum(np.abs(sweep @ a.T) ** p, axis=1)
-            variation = float(sums.max() - sums.min())
+            norms = p_norm(sweep @ a.T, p, axis=1)
+            top = norms.max()
+            variation = float((top - norms.min()) / top) if top > 0 else 0.0
             if variation > worst:
                 worst = variation
                 witness = (x.copy(), l)

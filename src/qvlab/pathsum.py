@@ -8,20 +8,22 @@ never with register width.  Time is exponential in the number of branching
 gates; the point of this evaluator is the memory profile, not speed.
 
 Local-mode steps are supported: the branch rescaling factor depends only on
-the same 2^arity parents as the linear action.  Postselection steps are not:
+the same 2^arity parents as the linear action, and it is computed by the
+dense engine's own scale-safe rescale (``engine._rescale_branches``) on that
+one branch.  Nonlinear steps use the engine's pair maps (``engine._PAIR_MAPS``),
+so the two evaluators share one formula for each.  Postselection steps are not:
 their renormalization divides by a weight aggregated over the whole register,
 which has no constant fan-in expression.  Circuits containing postselection
 steps are rejected.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-from .engine import (Circuit, GateStep, NormalizationMode, PostselectStep,
-                     StateVector, ZeroBranch, basis_index)
+from .engine import (_PAIR_MAPS, Circuit, GateStep, NormalizationMode,
+                     PostselectStep, StateVector, _rescale_branches, basis_index)
 
 InitialAmplitude = Callable[[int], complex]
 
@@ -85,27 +87,16 @@ def _amp(steps, t: int, index: int, n: int, initial_fn: InitialAmplitude) -> com
         return idx
 
     if gate.matrix is None:
-        x0 = _amp(steps, t - 1, parent_index(0), n, initial_fn)
-        x1 = _amp(steps, t - 1, parent_index(1), n, initial_fn)
-        if gate.kind == "nonlinear-W":
-            pair = (x0, np.exp(1j * x1) * x1)
-        else:
-            pair = (x0 * x0 - np.conj(x1) ** 2, complex(2.0 * (x0 * x1).real))
+        pair = _PAIR_MAPS[gate.kind](_amp(steps, t - 1, parent_index(0), n, initial_fn),
+                                     _amp(steps, t - 1, parent_index(1), n, initial_fn))
         return complex(pair[out_bits])
 
     m = gate.matrix
     if step.mode is NormalizationMode.LOCAL:
-        parents = np.array([_amp(steps, t - 1, parent_index(a), n, initial_fn)
+        # the branch is one (2^k, 1) column, rescaled as the dense engine does
+        parents = np.array([[_amp(steps, t - 1, parent_index(a), n, initial_fn)]
                             for a in range(2 ** k)])
-        new = m @ parents
-        before = np.linalg.norm(parents)
-        if before == 0.0:
-            return 0.0j
-        after = np.linalg.norm(new)
-        if after == 0.0:
-            raise ZeroBranch(
-                "a branch with nonzero weight was annihilated under local normalization")
-        return complex(new[out_bits] * (before / after))
+        return complex(_rescale_branches(parents, m @ parents)[out_bits, 0])
 
     total = 0.0j
     row = m[out_bits]

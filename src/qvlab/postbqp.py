@@ -88,6 +88,13 @@ class BooleanFunction:
         return f"BooleanFunction(n={self.num_inputs}, s={self.ones_count})"
 
 
+def _conditioned_hadamard(bit: int) -> Gate:
+    """Two-qubit gate: H on the second target where the first target == bit."""
+    block = np.eye(4, dtype=np.complex128)
+    block[2 * bit:2 * bit + 2, 2 * bit:2 * bit + 2] = hadamard().matrix
+    return Gate(block, name="cH")
+
+
 def _tabulated_state(f: BooleanFunction) -> StateVector:
     """Uniform superposition of |x>|f(x)> on n+1 qubits (output qubit last)."""
     n = f.num_inputs
@@ -151,12 +158,10 @@ def plus_overlap_simulated(s: int, n: int, i: int) -> float:
     psi = count_state_exact(s, n)
     prep_b = Gate(complete_to_unitary([psi.astype(np.complex128)]), name="prep")
     rot_a = Gate([[alpha, -beta], [beta, alpha]], name="mix")
-    ctrl_h = Gate(np.block([[np.eye(2), np.zeros((2, 2))],
-                            [np.zeros((2, 2)), hadamard().matrix]]), name="cH")
     circuit = Circuit(2)
     circuit.gate(prep_b, [1])
     circuit.gate(rot_a, [0])
-    circuit.gate(ctrl_h, [0, 1])   # control = qubit 0
+    circuit.gate(_conditioned_hadamard(1), [0, 1])   # control = qubit 0
     circuit.postselect(1, 1)
     state = run_circuit(circuit)
     v0 = state.amplitudes[1]       # qubit0=0, qubit1=1
@@ -295,6 +300,8 @@ class GadgetReport:
             "conditioned_bit": self.conditioned_bit,
             "closed_form_factor": self.closed_form_factor,
             "measured_factor": self.measured_factor,
+            "closed_form_log2": self.closed_form_log2,
+            "measured_log2": self.measured_log2,
         }
 
 
@@ -336,8 +343,7 @@ def postselection_gadget(state: StateVector, qubit: int, p: float, m: int,
     """
     if p == 2:
         raise PEqualsTwo("the gadget is inert at p = 2")
-    if not (p > 0):
-        raise ValueError("p must be positive")
+    MeasurementRule(p)   # finite and positive, else NonPositiveP
     if m < 0:
         raise ValueError("ancilla count must be nonnegative")
     bit = int(bit)
@@ -349,13 +355,7 @@ def postselection_gadget(state: StateVector, qubit: int, p: float, m: int,
     amps = np.zeros(2 ** (n + m), dtype=np.complex128)
     amps[np.arange(state.amplitudes.size) << m] = state.amplitudes
     grown = StateVector(amps)
-    h = hadamard().matrix
-    block = np.eye(4, dtype=np.complex128)
-    if conditioned == 1:
-        block[2:, 2:] = h
-    else:
-        block[:2, :2] = h
-    cond_h = Gate(block, name="cond-H")
+    cond_h = _conditioned_hadamard(conditioned)
     for j in range(m):
         grown = apply_gate(grown, cond_h, [qubit, n + j])
 
@@ -391,8 +391,7 @@ def postbqp_decide_pnorm(f: BooleanFunction, p: float,
     n = f.num_inputs
     m = gadget_size(p, n) if ancillas_per_gadget is None else int(ancillas_per_gadget)
     h = hadamard()
-    ctrl_h = Gate(np.block([[np.eye(2), np.zeros((2, 2))],
-                            [np.zeros((2, 2)), h.matrix]]), name="cH")
+    ctrl_h = _conditioned_hadamard(1)
 
     # Qubits 0..n-1 are the inputs, n the output, n+1 the mixing carrier.
     # The i-independent prefix: tabulated state, input Hadamards, carrier |0>.

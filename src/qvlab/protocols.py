@@ -59,8 +59,7 @@ def build_discrimination_setup(d: int, p: float) -> DiscriminationSetup:
     """Construct the d-outcome discrimination unitary for exponent p."""
     if d < 2:
         raise ValueError("need d >= 2 states")
-    if not p > 0:
-        raise ValueError("p must be positive")
+    MeasurementRule(p)   # finite and positive, else NonPositiveP
     k = np.arange(d)
     scale = math.sqrt(2.0 / d)
     col_cos = scale * np.cos(np.pi * k / d)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import (NotOrthogonal, NotUnitary, OrthogonalBlock, blocks_det,
-                     blocks_to_matrix, is_real_orthogonal, is_unitary,
-                     rotation_block_decompose)
+from .linalg import (NotUnitary, OrthogonalBlock, blocks_det, blocks_to_matrix,
+                     is_unitary, rotation_block_decompose)
 
 RESIDUAL_TOL = 1e-9
 DETERMINANT_NEGATIVE = "DeterminantNegative"
@@ -70,10 +69,7 @@ def unitary_sqrt(u) -> SqrtResult:
     Eigenvalue arguments in (-pi, pi] are halved, so diag(1, -1) maps to
     diag(1, i).  The root shares the input's eigenvectors and is unitary.
     """
-    u = np.asarray(u, dtype=np.complex128)
-    if not is_unitary(u):
-        raise NotUnitary("input is not unitary within tolerance")
-    return _principal_root_result(u, 2)
+    return kth_root_scan(u, 2, "complex")
 
 
 def _halved_blocks(blocks: list[OrthogonalBlock], k: int) -> list[OrthogonalBlock]:
@@ -120,10 +116,7 @@ def real_orthogonal_sqrt(u) -> SqrtResult:
     det = +1 returns V in SO(n) with V @ V = u: rotation angles halved,
     -1 entries paired in slot order into quarter turns.
     """
-    u = np.asarray(u, dtype=float)
-    if not is_real_orthogonal(u):
-        raise NotOrthogonal("input is not real orthogonal within tolerance")
-    return _real_root_result(u, *rotation_block_decompose(u), 2)
+    return kth_root_scan(u, 2, "real")
 
 
 def _bordered(m: np.ndarray, corner: float) -> np.ndarray:
@@ -146,10 +139,8 @@ def embed_sqrt(u) -> SqrtResult:
     (det = -1).  For det = -1 the root is one of several valid ones: the
     quarter turns that pair up the -1 axes have no unique orientation.
     """
-    u = np.asarray(u, dtype=float)
-    if not is_real_orthogonal(u):
-        raise NotOrthogonal("input is not real orthogonal within tolerance")
     q, blocks = rotation_block_decompose(u)
+    u = np.real(u)   # any imaginary part is within tolerance
     det = blocks_det(blocks)
     n = u.shape[0]
     qhat = _bordered(q, 1.0)
@@ -173,7 +164,10 @@ def kth_root_scan(u, k: int, field: str | None = None) -> SqrtResult:
     odd k every -1 entry is its own k-th root and rotation angles divide.
     For even k with paired -1 axes the real root is one of several valid
     ones: the orientation of each pi/k turn on the -1 eigenspace is not
-    unique.
+    unique.  The real field is validated once, by the block decomposition:
+    an imaginary part above tolerance raises NotOrthogonal rather than
+    being dropped.  ``real_orthogonal_sqrt`` and ``unitary_sqrt`` are this
+    scan at k = 2.
     """
     k = int(k)
     if k < 2:
@@ -188,7 +182,5 @@ def kth_root_scan(u, k: int, field: str | None = None) -> SqrtResult:
         return _principal_root_result(u, k)
     if field != "real":
         raise ValueError("field must be 'real' or 'complex'")
-    u = np.asarray(u, dtype=float)
-    if not is_real_orthogonal(u):
-        raise NotOrthogonal("input is not real orthogonal within tolerance")
-    return _real_root_result(u, *rotation_block_decompose(u), k)
+    q, blocks = rotation_block_decompose(u)   # validates u
+    return _real_root_result(np.real(u), q, blocks, k)

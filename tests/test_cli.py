@@ -3,12 +3,16 @@ import dataclasses
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qvlab
 from qvlab import postbqp
 from qvlab.cli import main
 from qvlab.postbqp import EXACT_THRESHOLD
@@ -40,6 +44,7 @@ def files(tmp_path):
             [math.cos(2 * math.pi / 3), -math.sin(2 * math.pi / 3)],
             [math.sin(2 * math.pi / 3), math.cos(2 * math.pi / 3)]]}),
         "skew": dump("skew.json", {"matrix": [[1, 1], [0, 1]]}),
+        "upper_i": dump("upper_i.json", {"matrix": [[1, [0, 1]], [0, 1]]}),
         "f": dump("f.txt", "3\n01000001\n"),
         "g": dump("g.txt", "3\n0xbd\n"),
         "allzero": dump("z.txt", "2\n0000\n"),
@@ -205,6 +210,10 @@ def test_gadget_large_p_certifies_in_log2(files, capsys, p):
     data = envelope(out)
     assert data["pass"] is True
     assert data["report"]["measured_factor"] is not None
+    # the linear factors underflow to 0.0; the exponents they come from do not
+    closed = 4 * (1 - float(p) / 2)   # -2196 and -5996
+    assert data["report"]["closed_form_log2"] == closed
+    assert data["report"]["measured_log2"] == pytest.approx(closed, rel=1e-9)
 
 
 def test_gadget_wrong_closed_form_fails_at_large_p(files, capsys, monkeypatch):
@@ -250,6 +259,14 @@ def test_discriminate_large_p_writes_strict_json(files, capsys):
 
     report = json.loads(out, parse_constant=reject)["report"]
     assert report["error"] == pytest.approx(report["error_closed_form"], abs=1e-12)
+
+    # p = inf has no p-norm rule: a usage error, not NaN in the report
+    for argv in (["discriminate", "--d", "5", "--p", "inf"],
+                 ["signal", "--scenario", "i", "--p", "inf"],
+                 ["signal", "--scenario", "multi", "--d", "3", "--p", "inf"],
+                 ["gadget", "--m", "4", "--p", "inf"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and "finite" in err, argv
 
 
 def test_discriminate_csv_sweep(files, capsys):
@@ -351,6 +368,10 @@ def test_sqrt_usage_errors(files, capsys):
     assert code == 2 and "sqrt" in err
     code, _, err = run(["sqrt", "--matrix", files["skew"]], capsys)
     assert code == 2
+    # [[1, i], [0, 1]] is not even unitary; a real root must not drop the i
+    for extra in (["--field", "real"], ["--embed"]):
+        code, out, err = run(["sqrt", "--matrix", files["upper_i"], *extra], capsys)
+        assert code == 2 and out == "" and "complex part" in err
 
 
 def test_island_scan(files, capsys):
@@ -377,10 +398,18 @@ def test_parser_usage_exits():
     assert info.value.code == 2
 
 
-@pytest.mark.skipif(shutil.which("qvlab") is None,
-                    reason="console script not on PATH")
-def test_console_script(files):
-    proc = subprocess.run(["qvlab", "simulate", "--circuit", files["bell"]],
-                          capture_output=True, text=True)
+@pytest.mark.parametrize("command", [
+    pytest.param(["qvlab"], id="console-script", marks=pytest.mark.skipif(
+        shutil.which("qvlab") is None, reason="console script not on PATH")),
+    pytest.param([sys.executable, "-m", "qvlab"], id="module"),
+])
+def test_console_script(files, command):
+    # a real process, so the exit code is the one a shell sees
+    env = {**os.environ, "PYTHONPATH": str(Path(qvlab.__file__).parents[1])}
+    proc = subprocess.run([*command, "simulate", "--circuit", files["bell"]],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["qubits"] == 2
+    proc = subprocess.run([*command, "sqrt", "--matrix", files["upper_i"], "--embed"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""

@@ -17,6 +17,7 @@ from qvlab.engine import (Circuit, Gate, IllConditionedGate, MeasurementRule,
 from qvlab.linalg import NonPositiveP
 
 RNG = np.random.default_rng(101)
+R2 = 1.0 / math.sqrt(2.0)
 
 
 def random_state(n):
@@ -157,6 +158,16 @@ def test_local_mode_zero_branch():
         apply_gate(state, annihilate, [1], "local")
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+def test_local_mode_at_any_scale(scale):
+    # the branch norms are scale-safe: they neither underflow to an empty
+    # branch nor overflow to NaN
+    state = StateVector(np.ones(4) * scale)
+    out = apply_gate(state, Gate(np.diag([2.0, 0.5]), name="d"), [1], "local")
+    unit = np.array([2.0, 0.5, 2.0, 0.5]) * math.sqrt(2.0 / 4.25)   # 1.372, .343
+    assert np.allclose(out.amplitudes / scale, unit, rtol=1e-12, atol=0.0)
+
+
 def test_local_equals_global_on_unentangled_register():
     """On a product state, local and global agree up to a positive scalar."""
     left = RNG.normal(size=2) + 1j * RNG.normal(size=2)
@@ -228,6 +239,15 @@ def test_postselect_examples():
 
     with pytest.raises(ZeroProbabilityBranch):
         postselect(StateVector.ground(1), 0, 1)
+    for bit in (-1, 2):   # -1 would index the bit-1 branch
+        with pytest.raises(ValueError):
+            postselect(state, 0, bit)
+
+    # a weight-1/2 branch at extreme scales: the norm neither underflows
+    # nor overflows
+    for scale in (1e-170, 1e160):
+        out = postselect(StateVector(np.ones(4) * scale), 0, 1)
+        assert np.allclose(out.amplitudes, [0, 0, R2, R2], rtol=1e-15, atol=0.0)
 
 
 def test_sample_deterministic_and_calibrated():
@@ -246,6 +266,11 @@ def test_phase_twist_map_values():
     x, y = phase_twist_map(0.5, 2.0)
     assert x == 0.5
     assert y == pytest.approx(np.exp(2j) * 2.0)
+    # elementwise on arrays, as apply_nonlinear and the path sum use it
+    xs, ys = np.array([0.5, 1j]), np.array([2.0, -0.3 + 0.1j])
+    _, wy = phase_twist_map(xs, ys)
+    assert np.allclose(wy, [phase_twist_map(a, b)[1] for a, b in zip(xs, ys)],
+                       rtol=1e-15, atol=0.0)
 
 
 def test_quadratic_map_values():

@@ -171,6 +171,8 @@ def test_decompose_rejects_non_orthogonal():
         rotation_block_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(NotOrthogonal):
         rotation_block_decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NotOrthogonal):   # 0-d: no shape to index
+        rotation_block_decompose(np.array(1.0))
 
 
 def test_decompose_identity_and_negated_identity():

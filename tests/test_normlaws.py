@@ -145,10 +145,15 @@ def test_formal_agrees_with_numeric_spot_check():
 
 def test_phase_invariance():
     gen_diag = np.array([[0.0, np.exp(0.9j)], [1.0, 0.0]])
-    assert phase_invariance_check(gen_diag, 4.0).preserves
-    verdict = phase_invariance_check(H2, 4.0)
-    assert not verdict.preserves
-    assert "coordinate" in verdict.details
+    # at p in the thousands the raw sums |Ax|^p overflow; the relative
+    # variation of the scale-safe norms gives one verdict at every p
+    for p in (4.0, 1100.0, 3000.0):
+        assert phase_invariance_check(gen_diag, p).preserves
+        assert phase_invariance_check(np.diag([2.0, 1.0]), p).preserves
+        verdict = phase_invariance_check(H2, p)
+        assert not verdict.preserves
+        assert 0.1 < verdict.residual < 1.0
+        assert "coordinate" in verdict.details
 
 
 def test_island_scan_passes():

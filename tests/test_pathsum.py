@@ -84,6 +84,20 @@ def test_rejects_postselection():
     assert amplitude_recursive(circuit, 0, t=2) == pytest.approx(1 / np.sqrt(2))
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e160, 1e300])
+def test_local_mode_matches_dense_at_any_scale(scale):
+    # both evaluators share one scale-safe rescale: no empty-branch shortcut
+    # to 0 at tiny scales, no NaN at large ones
+    circuit = (Circuit(2).gate(hadamard(), [0]).gate(hadamard(), [1])
+               .gate(Gate(np.diag([2.0, 0.5]), name="d"), [1], "local"))
+    initial = StateVector(np.array([scale, 0.0, 0.0, 0.0]))
+    dense = run_circuit(circuit, initial).amplitudes
+    got = np.array([amplitude_recursive(circuit, x, initial=initial)
+                    for x in range(4)])
+    assert np.all(np.isfinite(dense)) and np.all(dense != 0)
+    assert np.allclose(got, dense, rtol=1e-12, atol=0.0)
+
+
 def test_local_mode_zero_branch_raises():
     initial = StateVector(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
     annihilate = Gate(np.array([[0.0, 1.0], [0.0, 0.0]]), condition_override=True)

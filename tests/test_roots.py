@@ -99,6 +99,12 @@ def test_real_sqrt_dichotomy_batch():
 def test_real_sqrt_rejects():
     with pytest.raises(NotOrthogonal):
         real_orthogonal_sqrt(np.ones((2, 2)))
+    # complex input is rejected, not cast to its real part (identity)
+    for bad in (np.array([[1.0, 1.0j], [0.0, 1.0]]), np.array(1.0)):
+        with pytest.raises(NotOrthogonal):
+            real_orthogonal_sqrt(bad)
+        with pytest.raises(NotOrthogonal):
+            embed_sqrt(bad)
     big = real_orthogonal_sqrt(np.eye(65))   # no dimension cap
     assert big.exists and big.residual == 0.0
 
@@ -236,6 +242,9 @@ def test_kth_root_validation():
         kth_root_scan(np.eye(2), 3, field="quaternion")
     with pytest.raises(NotOrthogonal):
         kth_root_scan(np.ones((2, 2)), 2)
+    for bad in (np.array([[1.0, 1.0j], [0.0, 1.0]]), np.array(1.0)):
+        with pytest.raises(NotOrthogonal):
+            kth_root_scan(bad, 3, field="real")
     with pytest.raises(NotUnitary):
         kth_root_scan(np.ones((2, 2)), 2, field="complex")
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, normlaws, postbqp, protocols, roots
-from .report import json_to_matrix, vector_to_json
+from .report import _jsonable, json_to_matrix, json_to_vector
 
 try:
     VERSION = importlib.metadata.version("qvlab")
@@ -55,7 +55,7 @@ def _emit(args: argparse.Namespace, body: dict, passed: bool) -> None:
         "pass": bool(passed),
         "report": body,
     }
-    text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_jsonable(envelope), sort_keys=True, indent=2) + "\n"
     _write(args, text)
 
 
@@ -82,14 +82,13 @@ def _cmd_simulate(args) -> int:
     dist = engine.measure_distribution(state, args.p)
     body = {
         "qubits": circuit.num_qubits,
-        "amplitudes": vector_to_json(state.amplitudes),
-        "distribution": [float(x) for x in dist],
+        "amplitudes": state.amplitudes,
+        "distribution": dist,
         "p": args.p,
     }
     if args.trials:
         outcomes = engine.sample(state, args.p, size=args.trials, seed=args.seed)
-        counts = np.bincount(outcomes, minlength=dist.size)
-        body["sample_counts"] = [int(c) for c in counts]
+        body["sample_counts"] = np.bincount(outcomes, minlength=dist.size)
     if args.format == "csv":
         labels = [format(i, f"0{circuit.num_qubits}b") for i in range(dist.size)]
         rows = [[labels[i], repr(float(state.amplitudes[i].real)),
@@ -121,8 +120,7 @@ def _cmd_check_norm(args) -> int:
         "mode": mode,
         "preserves": verdict.preserves,
         "residual": verdict.residual,
-        "witness": (vector_to_json(verdict.witness_vector)
-                    if verdict.witness_vector is not None else None),
+        "witness": verdict.witness_vector,
         "generalized_diagonal": gd.is_generalized_diagonal,
         "permutation": gd.permutation,
         "details": verdict.details,
@@ -160,7 +158,6 @@ def _cmd_gadget(args) -> int:
         data = json.loads(Path(args.state).read_text())
         if isinstance(data, dict):
             data = data["amplitudes"]
-        from .report import json_to_vector
         state = engine.StateVector(json_to_vector(data))
     else:
         state = engine.StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -169,7 +166,7 @@ def _cmd_gadget(args) -> int:
     marg = engine.marginal_distribution(grown, [args.qubit],
                                         engine.MeasurementRule(args.p))
     body = rep.to_dict()
-    body["qubit_marginal"] = [float(x) for x in marg]
+    body["qubit_marginal"] = marg
     body["grown_qubits"] = grown.num_qubits
     # compared as log2 exponents: the linear factors underflow at large p
     ok = (rep.measured_log2 is not None
@@ -195,8 +192,7 @@ def _cmd_discriminate(args) -> int:
     body = {
         "d": args.d, "p": args.p, "j": args.j,
         "error": error,
-        "distribution": [float(x) for x in
-                         protocols.discrimination_distribution(setup, args.j)],
+        "distribution": protocols.discrimination_distribution(setup, args.j),
         "note": setup.note,
     }
     passed = True

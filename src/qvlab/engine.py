@@ -251,12 +251,12 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int],
     """Apply a matrix gate to ``targets`` under the given normalization mode."""
     if isinstance(mode, str):
         mode = NormalizationMode(mode)
+    targets = _check_targets(state.num_qubits, targets, gate.arity)
     if gate.matrix is None:
         if mode is not NormalizationMode.GLOBAL:
             raise NonUnitaryInModeI(
                 "nonlinear gates are not unitary; use global mode")
         return apply_nonlinear(state, gate.kind, targets[0])
-    targets = _check_targets(state.num_qubits, targets, gate.arity)
     if mode is NormalizationMode.UNITARY and gate.kind != "unitary":
         raise NonUnitaryInModeI(f"mode 'unitary' rejects kind '{gate.kind}'")
 
@@ -346,6 +346,12 @@ def sample(state: StateVector, rule: MeasurementRule | float = 2.0,
     return int(out) if size is None else out
 
 
+# the gates a circuit file names by tag instead of by matrix
+_NAMED_GATES: dict[str, Callable[[], Gate]] = {
+    "H": hadamard, "X": pauli_x, "CNOT": cnot, "W": phase_twist_gate, "G": quadratic_gate,
+}
+
+
 @dataclass(frozen=True)
 class GateStep:
     gate: Gate
@@ -368,7 +374,8 @@ class Circuit:
              mode: NormalizationMode | str = NormalizationMode.UNITARY) -> "Circuit":
         if isinstance(mode, str):
             mode = NormalizationMode(mode)
-        self.steps.append(GateStep(gate, tuple(targets), mode))
+        targets = _check_targets(self.num_qubits, targets, gate.arity)
+        self.steps.append(GateStep(gate, targets, mode))
         return self
 
     def postselect(self, qubit: int, bit: int) -> "Circuit":
@@ -384,7 +391,7 @@ class Circuit:
                 continue
             entry: dict = {"targets": list(step.targets), "mode": step.mode.value}
             name = step.gate.name
-            if name in ("H", "X", "CNOT", "W", "G"):
+            if name in _NAMED_GATES:
                 entry["gate"] = name
             else:
                 entry["gate"] = "custom"
@@ -396,18 +403,14 @@ class Circuit:
     def from_json_dict(cls, data: dict) -> "Circuit":
         from .report import json_to_matrix
         circuit = cls(int(data["qubits"]))
-        named: dict[str, Callable[[], Gate]] = {
-            "H": hadamard, "X": pauli_x, "CNOT": cnot,
-            "W": phase_twist_gate, "G": quadratic_gate,
-        }
         for step in data.get("steps", []):
             if "postselect" in step:
                 ps = step["postselect"]
                 circuit.postselect(int(ps["qubit"]), int(ps["bit"]))
                 continue
             name = step["gate"]
-            if name in named:
-                gate = named[name]()
+            if name in _NAMED_GATES:
+                gate = _NAMED_GATES[name]()
             elif name == "custom":
                 gate = Gate(json_to_matrix(step["matrix"]),
                             condition_override=bool(step.get("condition_override", False)))

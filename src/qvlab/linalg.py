@@ -95,14 +95,20 @@ def is_unitary(m, tol: float = ORTHONORMAL_TOL) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
 
 
-def is_real_orthogonal(m, tol: float = ORTHONORMAL_TOL) -> bool:
-    m = np.asarray(m)
+def _orthogonality_failure(m: np.ndarray, tol: float) -> str | None:
+    """Why ``m`` is not real orthogonal within ``tol``, or None if it is."""
     if np.iscomplexobj(m) and np.max(np.abs(m.imag)) > tol:
-        return False
-    m = np.real(m).astype(np.float64)
+        return "matrix has a complex part"
+    m = m.real
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) <= tol)
+        return "matrix must be square"
+    if not np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) <= tol:   # NaN fails too
+        return f"matrix is not orthogonal within {tol:g}"
+    return None
+
+
+def is_real_orthogonal(m, tol: float = ORTHONORMAL_TOL) -> bool:
+    return _orthogonality_failure(np.asarray(m), tol) is None
 
 
 def complete_to_unitary(columns, tol: float = ORTHONORMAL_TOL,
@@ -204,16 +210,11 @@ def rotation_block_decompose(u, tol: float = ORTHONORMAL_TOL,
     shape, or not orthogonal within ``tol`` raises NotOrthogonal.
     """
     u = np.asarray(u)
-    if np.iscomplexobj(u):
-        if np.max(np.abs(u.imag)) > tol:
-            raise NotOrthogonal("matrix has a complex part")
-        u = u.real
-    u = u.astype(np.float64)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise NotOrthogonal("matrix must be square")
+    reason = _orthogonality_failure(u, tol)
+    if reason is not None:
+        raise NotOrthogonal(reason)
+    u = u.real.astype(np.float64)
     n = u.shape[0]
-    if not np.max(np.abs(u.T @ u - np.eye(n))) <= tol:   # NaN fails too
-        raise NotOrthogonal(f"matrix is not orthogonal within {tol:g}")
 
     t, z = scipy.linalg.schur(u, output="real")
     rot_cols: list[int] = []

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import NonPositiveP, haar_orthogonal, p_norm
+from .linalg import haar_orthogonal, p_norm
 from .report import CheckReport
 
 NUMERIC_TOL = 1e-10
@@ -115,8 +115,6 @@ def preserves_pnorm_numeric(a, p: float, trials: int = 64, seed: int | None = 0,
     Returns the first violating witness, or preserves=True with the largest
     deviation seen.
     """
-    if not (p > 0):
-        raise NonPositiveP(f"p must be positive (got {p})")
     if convention not in ("modulus", "split"):
         raise ValueError("convention must be 'modulus' or 'split'")
     a = np.asarray(a, dtype=np.complex128)
@@ -235,8 +233,6 @@ def phase_invariance_check(a, p: float, grid_size: int = 24, trials: int = 8,
     norms, so it means the same at every p and every scale of A; the witness
     is the offending configuration.
     """
-    if not (p > 0):
-        raise NonPositiveP(f"p must be positive (got {p})")
     a = np.asarray(a, dtype=np.complex128)
     n = a.shape[0]
     rng = np.random.default_rng(seed)
@@ -304,8 +300,6 @@ def island_scan(n: int, p: float, num_matrices: int = 1000, seed: int | None = 0
 
     p = 2 is rejected: orthogonal matrices preserve it and the claim is false.
     """
-    if not (p > 0):
-        raise NonPositiveP(f"p must be positive (got {p})")
     if p == 2 and not nonnegative:
         raise UnsupportedP("p = 2 is the exceptional case; the scan claim fails there")
     rng = np.random.default_rng(seed)

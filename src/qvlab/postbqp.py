@@ -32,6 +32,7 @@ import numpy as np
 from .engine import (Circuit, Gate, MeasurementRule, StateVector, apply_gate,
                      hadamard, marginal_distribution, postselect, run_circuit)
 from .linalg import PEqualsTwo, complete_to_unitary, p_distribution, p_norm
+from .report import fields_to_json
 
 # Overlap bounds for the two sides of the majority decision.
 OVERLAP_LOW_S = (1.0 + math.sqrt(2.0)) / math.sqrt(6.0)   # reached iff s < 2^(n-1)
@@ -190,15 +191,7 @@ class MajorityDecision:
         return self.verdict == "LessThanHalf"
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "per_i": [[int(i), float(v)] for i, v in self.per_i],
-            "trials": self.trials,
-            "mode": self.mode,
-            "threshold": self.threshold,
-            "details": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                        for k, v in self.details.items()},
-        }
+        return fields_to_json(self)
 
 
 def _check_padding(f: BooleanFunction):
@@ -248,8 +241,7 @@ class OrDecision:
     ones_count: int
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "prob_one": self.prob_one,
-                "ones_count": self.ones_count}
+        return fields_to_json(self)
 
 
 def or_solve_nonunitary(f: BooleanFunction) -> OrDecision:
@@ -294,15 +286,8 @@ class GadgetReport:
         return None if self.measured_log2 is None else 2.0 ** self.measured_log2
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p, "ancillas": self.ancillas,
-            "favored_bit": self.favored_bit,
-            "conditioned_bit": self.conditioned_bit,
-            "closed_form_factor": self.closed_form_factor,
-            "measured_factor": self.measured_factor,
-            "closed_form_log2": self.closed_form_log2,
-            "measured_log2": self.measured_log2,
-        }
+        return {**fields_to_json(self), "closed_form_factor": self.closed_form_factor,
+                "measured_factor": self.measured_factor}
 
 
 def gadget_factor(p: float, m: int) -> float:
@@ -346,10 +331,12 @@ def postselection_gadget(state: StateVector, qubit: int, p: float, m: int,
     MeasurementRule(p)   # finite and positive, else NonPositiveP
     if m < 0:
         raise ValueError("ancilla count must be nonnegative")
+    n = state.num_qubits
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for a {n}-qubit state")
     bit = int(bit)
     conditioned = bit if p < 2 else 1 - bit
 
-    n = state.num_qubits
     w1_before, w0_before = _branch_pweights(state, qubit, p)
 
     amps = np.zeros(2 ** (n + m), dtype=np.complex128)

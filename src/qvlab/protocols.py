@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import Gate, MeasurementRule, apply_gate, bell_pair, marginal_distribution
 from .linalg import PEqualsTwo, complete_to_unitary, p_distribution
-from .report import CheckReport
+from .report import CheckReport, fields_to_json
 
 RESCALE_NOTE = ("measurement columns rescaled by sqrt(2) to be orthonormal; "
                 "harmless because the p-norm rule is scale-invariant")
@@ -49,10 +49,7 @@ class DiscriminationSetup:
     note: str = RESCALE_NOTE
 
     def to_dict(self) -> dict:
-        return {"d": self.d, "p": self.p,
-                "states": self.states.tolist(),
-                "unitary": self.unitary.tolist(),
-                "note": self.note}
+        return fields_to_json(self)
 
 
 def build_discrimination_setup(d: int, p: float) -> DiscriminationSetup:
@@ -146,15 +143,7 @@ class SignallingReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "distributions": {key: [float(x) for x in val]
-                              for key, val in self.distributions.items()},
-            "tvd": float(self.tvd),
-            "bits": float(self.bits),
-            "extras": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                       for k, v in self.extras.items()},
-        }
+        return fields_to_json(self)
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

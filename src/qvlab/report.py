@@ -1,22 +1,24 @@
-"""Verdict and report containers shared by the verification suites.
+"""Verdict and report containers shared by the verification suites, and the
+one JSON encoder every report goes through.
 
-Every checker in the package reports through one of these dataclasses so the
-CLI can serialize results uniformly.  JSON conventions: complex numbers are
-``[re, im]`` pairs, matrices are arrays of row arrays, and the boolean verdict
-key is ``"pass"``.
+JSON conventions: complex numbers are ``[re, im]`` pairs (so a complex
+matrix is an array of rows of pairs), real arrays are nested lists, numpy
+scalars are plain numbers, tuples are lists, and the boolean verdict key is
+``"pass"``.  ``_jsonable`` is the only code that applies them: each result
+class's ``to_dict`` encodes its fields with ``fields_to_json``, and the CLI
+encodes each whole report once before writing it.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
 
 def complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+    return _jsonable(complex(z))
 
 
 def json_to_complex(pair: Any) -> complex:
@@ -27,11 +29,11 @@ def json_to_complex(pair: Any) -> complex:
 
 
 def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_json(z) for z in np.asarray(v).ravel()]
+    return _jsonable(np.ravel(v).astype(np.complex128))
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_to_json(z) for z in row] for row in np.asarray(m)]
+    return _jsonable(np.asarray(m, dtype=np.complex128))
 
 
 def json_to_matrix(rows: Any) -> np.ndarray:
@@ -49,15 +51,17 @@ def _jsonable(obj: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return vector_to_json(obj.ravel()) if obj.ndim == 1 else matrix_to_json(obj)
+    if isinstance(obj, (np.ndarray, np.generic, complex)) and np.iscomplexobj(obj):
+        a = np.asarray(obj)
+        return np.stack((a.real, a.imag), axis=-1).tolist()
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.complexfloating, complex)):
-        return complex_to_json(obj)
-    if isinstance(obj, np.generic):
-        return obj.item()
     return obj
+
+
+def fields_to_json(obj: Any) -> dict:
+    """The JSON form of a dataclass instance: each field through ``_jsonable``."""
+    return _jsonable({f.name: getattr(obj, f.name) for f in fields(obj)})
 
 
 @dataclass
@@ -76,13 +80,9 @@ class CheckReport:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "pass": bool(self.passed),
-            "witnesses": _jsonable(self.witnesses),
-            "residuals": _jsonable(self.residuals),
-            "seed": self.seed,
-        }
+        data = fields_to_json(self)
+        data["pass"] = data.pop("passed")
+        return data
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

@@ -20,6 +20,7 @@ import scipy.linalg
 
 from .linalg import (NotUnitary, OrthogonalBlock, blocks_det, blocks_to_matrix,
                      is_unitary, rotation_block_decompose)
+from .report import fields_to_json
 
 RESIDUAL_TOL = 1e-9
 DETERMINANT_NEGATIVE = "DeterminantNegative"
@@ -41,16 +42,7 @@ class SqrtResult:
     power: int = 2
 
     def to_dict(self) -> dict:
-        root = None
-        if self.root is not None:
-            if np.iscomplexobj(self.root):
-                root = [[[float(z.real), float(z.imag)] for z in row]
-                        for row in self.root]
-            else:
-                root = self.root.tolist()
-        return {"exists": self.exists, "root": root,
-                "obstruction": self.obstruction,
-                "residual": self.residual, "power": self.power}
+        return fields_to_json(self)
 
 
 def _principal_root_result(u: np.ndarray, k: int) -> SqrtResult:

@@ -49,6 +49,10 @@ def files(tmp_path):
         "g": dump("g.txt", "3\n0xbd\n"),
         "allzero": dump("z.txt", "2\n0000\n"),
         "lopsided": dump("state.json", {"amplitudes": [[0.6, 0.0], [0.8, 0.0]]}),
+        "w_two_targets": dump("w2.json", {"qubits": 2, "steps": [
+            {"gate": "W", "targets": [0, 1], "mode": "global"}]}),
+        "w_no_target": dump("w0.json", {"qubits": 2, "steps": [
+            {"gate": "W", "targets": [], "mode": "global"}]}),
         "dir": tmp_path,
     }
 
@@ -90,6 +94,13 @@ def test_simulate_sampling(files, capsys):
     counts = envelope(out)["report"]["sample_counts"]
     assert sum(counts) == 1000
     assert counts[1] == counts[2] == 0
+
+
+@pytest.mark.parametrize("circuit", ["w_two_targets", "w_no_target"])
+def test_simulate_bad_targets_is_usage_error(files, capsys, circuit):
+    code, out, err = run(["simulate", "--circuit", files[circuit]], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("qvlab simulate:") and "targets" in err
 
 
 def test_simulate_csv(files, capsys):
@@ -200,6 +211,10 @@ def test_gadget_custom_state_and_p2_rejection(files, capsys):
     code, _, err = run(["gadget", "--m", "2", "--p", "2"], capsys)
     assert code == 2
     assert "p = 2" in err
+
+    for qubit in ("-1", "3"):
+        code, out, err = run(["gadget", "--m", "2", "--qubit", qubit], capsys)
+        assert code == 2 and out == "" and f"qubit {qubit}" in err
 
 
 @pytest.mark.parametrize("p", ["1100", "3000"])

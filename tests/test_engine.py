@@ -329,6 +329,14 @@ def test_run_circuit_empty_returns_initial():
 def test_duplicate_targets_rejected():
     with pytest.raises(ValueError):
         apply_gate(StateVector.ground(2), cnot(), [1, 1])
+    # a nonlinear gate takes exactly one target, checked like a matrix gate's
+    # both when it is applied and when it is added to a circuit
+    from qvlab.engine import phase_twist_gate
+    for targets in ([0, 1], []):
+        with pytest.raises(ValueError):
+            apply_gate(StateVector.ground(2), phase_twist_gate(), targets, "global")
+        with pytest.raises(ValueError):
+            Circuit(2).gate(phase_twist_gate(), targets, "global")
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -167,12 +167,13 @@ def test_decompose_haar_batch(n):
 
 
 def test_decompose_rejects_non_orthogonal():
-    with pytest.raises(NotOrthogonal):
-        rotation_block_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(NotOrthogonal):
-        rotation_block_decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(NotOrthogonal):   # 0-d: no shape to index
-        rotation_block_decompose(np.array(1.0))
+    # is_real_orthogonal runs the same check, so it says no to each input
+    for bad in ([[1.0, 1.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                1.0,   # 0-d: no shape to index
+                [[1.0, 1j], [0.0, 1.0]]):
+        assert not is_real_orthogonal(np.array(bad))
+        with pytest.raises(NotOrthogonal):
+            rotation_block_decompose(np.array(bad))
 
 
 def test_decompose_identity_and_negated_identity():

@@ -80,8 +80,14 @@ def test_numeric_nonnegative_cone_stochastic():
 
 
 def test_numeric_validation():
-    with pytest.raises(NonPositiveP):
-        preserves_pnorm_numeric(H2, 0.0)
+    # p_norm is the one check of p behind every numeric law
+    for p in (0.0, -1.0, math.nan):
+        with pytest.raises(NonPositiveP):
+            preserves_pnorm_numeric(H2, p)
+        with pytest.raises(NonPositiveP):
+            phase_invariance_check(H2, p)
+        with pytest.raises(NonPositiveP):
+            island_scan(2, p, num_matrices=30)
     with pytest.raises(ValueError):
         preserves_pnorm_numeric(H2, 3.0, convention="cartesian")
 

@@ -5,7 +5,7 @@ import pytest
 from circuitgen import random_mixed_circuit
 
 from qvlab.engine import (Circuit, Gate, StateVector, ZeroBranch, bell_pair,
-                          cnot, hadamard, pauli_x, run_circuit)
+                          cnot, hadamard, pauli_x, phase_twist_gate, run_circuit)
 from qvlab.pathsum import amplitude_recursive, ground_amplitude
 
 ATOL = 1e-10
@@ -82,6 +82,12 @@ def test_rejects_postselection():
         amplitude_recursive(circuit, 0)
     # ... unless the prefix stops before the postselect step
     assert amplitude_recursive(circuit, 0, t=2) == pytest.approx(1 / np.sqrt(2))
+    # steps with bad targets are refused when added, so no amplitude comes
+    # out of them (repeated, negative, or too many for a nonlinear gate)
+    for gate, targets in ((cnot(), [0, 0]), (hadamard(), [-1]),
+                          (phase_twist_gate(), [0, 1])):
+        with pytest.raises(ValueError):
+            amplitude_recursive(Circuit(3).gate(gate, targets, "global"), 0)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e160, 1e300])

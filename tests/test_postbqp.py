@@ -228,6 +228,9 @@ def test_gadget_rejections_and_degenerate_sizes():
         postselection_gadget(state, 0, -1.0, 3)
     with pytest.raises(ValueError):
         postselection_gadget(state, 0, 1.0, -2)
+    for qubit in (-1, 1):
+        with pytest.raises(ValueError, match=f"qubit {qubit}"):
+            postselection_gadget(state, qubit, 1.0, 2)
     out, report = postselection_gadget(state, 0, 1.0, 0)
     assert np.allclose(out.amplitudes, state.amplitudes)
     assert report.measured_factor == pytest.approx(1.0)
@@ -246,6 +249,8 @@ def test_decide_pnorm_matches_exact_oracle():
             assert decision.mode == "pnorm-gadget"
             assert decision.threshold == SAMPLED_THRESHOLD
             assert decision.details["gadgets"] == n + 1
+            gadgets = decision.to_dict()["details"]["gadgets"]
+            assert gadgets == n + 1 and isinstance(gadgets, int)
     # Near p = 2 the gadgets carry factors 2^(m(1-p/2)) far beyond float64
     # (n=10 at p=1.99 and n=12 at p=1.9 once overflowed to NaN verdicts).
     for n in range(3, 13):

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .engine import (Circuit, Gate, IllConditionedGate, MeasurementRule,
-                     NonUnitaryInModeI, NormalizationMode, StateVector,
-                     ZeroBranch, ZeroProbabilityBranch, apply_gate,
+from .engine import (AmplitudeOverflow, Circuit, Gate, IllConditionedGate,
+                     MeasurementRule, NonUnitaryInModeI, NormalizationMode,
+                     StateVector, ZeroBranch, ZeroProbabilityBranch, apply_gate,
                      apply_nonlinear, basis_index, bell_pair, cnot, hadamard,
                      marginal_distribution, measure_distribution, pauli_x,
                      phase_twist_gate, phase_twist_map, postselect,
@@ -52,8 +52,8 @@ from .roots import (SqrtResult, embed_sqrt, kth_root_scan,
 __all__ = [
     "__version__",
     # engine
-    "Circuit", "Gate", "IllConditionedGate", "MeasurementRule",
-    "NonUnitaryInModeI", "NormalizationMode", "StateVector", "ZeroBranch",
+    "AmplitudeOverflow", "Circuit", "Gate", "IllConditionedGate",
+    "MeasurementRule", "NonUnitaryInModeI", "NormalizationMode", "StateVector", "ZeroBranch",
     "ZeroProbabilityBranch", "apply_gate", "apply_nonlinear", "basis_index",
     "bell_pair", "cnot", "hadamard", "marginal_distribution",
     "measure_distribution", "pauli_x", "phase_twist_gate", "phase_twist_map",

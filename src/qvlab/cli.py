@@ -30,7 +30,7 @@ except importlib.metadata.PackageNotFoundError:   # running from a checkout
 # PaddingViolation, NotUnitary, ...), which all subclass it.
 _USAGE_ERRORS = (
     ValueError, KeyError, OSError, json.JSONDecodeError,
-    engine.ZeroProbabilityBranch, engine.ZeroBranch,
+    engine.ZeroProbabilityBranch, engine.ZeroBranch, engine.AmplitudeOverflow,
 )
 
 

@@ -51,16 +51,29 @@ def p_norm(v, p: float, axis=None):
     along that axis and returned as an array.
     """
     a = np.abs(np.asarray(v))
-    top = np.max(a, axis=axis, keepdims=True, initial=0.0)
+    # A two-entry axis (a one-qubit gate's target) is reduced by one ufunc
+    # call on its two halves: numpy's reduce runs one inner loop per pair,
+    # 6-50x slower on a strided view, and two terms have only one rounding.
+    pair = axis is not None and a.shape[axis] == 2
+    top = np.maximum(*_halves(a, axis)) if pair else np.max(a, axis=axis, keepdims=True,
+                                                             initial=0.0)
     if math.isinf(p) and p > 0:
         norm = top
     elif p > 0:
         unit = np.where(top > 0, top, 1.0)
-        norm = unit * np.sum((a / unit) ** p, axis=axis, keepdims=True) ** (1.0 / p)
+        w = (a / unit) ** p
+        total = np.add(*_halves(w, axis)) if pair else np.sum(w, axis=axis, keepdims=True)
+        norm = unit * total ** (1.0 / p)
     else:
         raise NonPositiveP(f"p must be positive (got {p})")
     norm = norm.squeeze(axis)
     return float(norm) if axis is None else norm
+
+
+def _halves(x: np.ndarray, axis: int):
+    """The two entries of a length-2 ``axis`` of ``x``: views that keep the axis."""
+    lead = (slice(None),) * (axis % x.ndim)
+    return x[lead + (slice(0, 1),)], x[lead + (slice(1, 2),)]
 
 
 def p_distribution(amps, p: float, log2_gain=None) -> np.ndarray:

@@ -11,19 +11,22 @@ Local-mode steps are supported: the branch rescaling factor depends only on
 the same 2^arity parents as the linear action, and it is computed by the
 dense engine's own scale-safe rescale (``engine._rescale_branches``) on that
 one branch.  Nonlinear steps use the engine's pair maps (``engine._PAIR_MAPS``),
-so the two evaluators share one formula for each.  Postselection steps are not:
-their renormalization divides by a weight aggregated over the whole register,
-which has no constant fan-in expression.  Circuits containing postselection
-steps are rejected.
+so the two evaluators share one formula for each; both raise
+``AmplitudeOverflow`` where a map sends finite amplitudes to inf or NaN.
+Postselection steps are not supported: their renormalization divides by a
+weight aggregated over the whole register, which has no constant fan-in
+expression.  Circuits containing postselection steps are rejected.
 """
 from __future__ import annotations
 
+import cmath
 from typing import Callable
 
 import numpy as np
 
-from .engine import (_PAIR_MAPS, Circuit, GateStep, NormalizationMode,
-                     PostselectStep, StateVector, _rescale_branches, basis_index)
+from .engine import (_PAIR_MAPS, AmplitudeOverflow, Circuit, GateStep,
+                     NormalizationMode, PostselectStep, StateVector,
+                     _overflow_message, _rescale_branches, basis_index)
 
 InitialAmplitude = Callable[[int], complex]
 
@@ -87,9 +90,13 @@ def _amp(steps, t: int, index: int, n: int, initial_fn: InitialAmplitude) -> com
         return idx
 
     if gate.matrix is None:
-        pair = _PAIR_MAPS[gate.kind](_amp(steps, t - 1, parent_index(0), n, initial_fn),
-                                     _amp(steps, t - 1, parent_index(1), n, initial_fn))
-        return complex(pair[out_bits])
+        x = _amp(steps, t - 1, parent_index(0), n, initial_fn)
+        y = _amp(steps, t - 1, parent_index(1), n, initial_fn)
+        with np.errstate(over="ignore", invalid="ignore"):
+            amp = complex(_PAIR_MAPS[gate.kind](x, y)[out_bits])
+        if not cmath.isfinite(amp) and cmath.isfinite(x) and cmath.isfinite(y):
+            raise AmplitudeOverflow(_overflow_message(gate.kind))
+        return amp
 
     m = gate.matrix
     if step.mode is NormalizationMode.LOCAL:

@@ -71,6 +71,8 @@ def build_discrimination_setup(d: int, p: float) -> DiscriminationSetup:
 
 def discrimination_distribution(setup: DiscriminationSetup, j: int) -> np.ndarray:
     """Exact p-norm outcome distribution when the true state is j."""
+    if not 0 <= j < setup.d:
+        raise ValueError(f"true state j = {j} is out of range for d = {setup.d}")
     v = np.zeros(setup.d)
     v[:2] = setup.states[j]
     return p_distribution(setup.unitary @ v, setup.p)

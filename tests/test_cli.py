@@ -53,6 +53,10 @@ def files(tmp_path):
             {"gate": "W", "targets": [0, 1], "mode": "global"}]}),
         "w_no_target": dump("w0.json", {"qubits": 2, "steps": [
             {"gate": "W", "targets": [], "mode": "global"}]}),
+        "g_overflow": dump("g_big.json", {"qubits": 1, "steps": [
+            {"gate": "custom", "matrix": [[1e80, 0], [0, 1e80]], "targets": [0],
+             "mode": "global"}] * 2 + [
+            {"gate": "G", "targets": [0], "mode": "global"}]}),
         "dir": tmp_path,
     }
 
@@ -101,6 +105,13 @@ def test_simulate_bad_targets_is_usage_error(files, capsys, circuit):
     code, out, err = run(["simulate", "--circuit", files[circuit]], capsys)
     assert code == 2 and out == ""
     assert err.startswith("qvlab simulate:") and "targets" in err
+
+
+def test_simulate_overflow_is_usage_error(files, capsys):
+    # G on amplitudes of 1e160 has no finite image: exit 2, not NaN in the report
+    code, out, err = run(["simulate", "--circuit", files["g_overflow"]], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("qvlab simulate:") and "G map" in err
 
 
 def test_simulate_csv(files, capsys):
@@ -282,6 +293,14 @@ def test_discriminate_large_p_writes_strict_json(files, capsys):
                  ["gadget", "--m", "4", "--p", "inf"]):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "" and "finite" in err, argv
+
+
+@pytest.mark.parametrize("j", ["7", "-1"])
+def test_discriminate_j_out_of_range_is_usage_error(files, capsys, j):
+    # j names one of the d states; -1 must not wrap around to state d - 1
+    code, out, err = run(["discriminate", "--d", "5", "--p", "4", "--j", j], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("qvlab discriminate:") and f"j = {j}" in err
 
 
 def test_discriminate_csv_sweep(files, capsys):

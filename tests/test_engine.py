@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
-from qvlab.engine import (Circuit, Gate, IllConditionedGate, MeasurementRule,
-                          NonUnitaryInModeI, StateVector, ZeroBranch,
-                          ZeroProbabilityBranch, apply_gate, apply_nonlinear,
-                          basis_index, bell_pair, cnot, hadamard,
-                          marginal_distribution, measure_distribution,
-                          phase_twist_map, postselect, quadratic_map,
-                          run_circuit, sample)
+from qvlab.engine import (AmplitudeOverflow, Circuit, Gate, IllConditionedGate,
+                          MeasurementRule, NonUnitaryInModeI, StateVector,
+                          ZeroBranch, ZeroProbabilityBranch, apply_gate,
+                          apply_nonlinear, basis_index, bell_pair, cnot,
+                          hadamard, marginal_distribution, measure_distribution,
+                          phase_twist_gate, phase_twist_map, postselect,
+                          quadratic_gate, quadratic_map, run_circuit, sample)
 from qvlab.linalg import NonPositiveP
 
 RNG = np.random.default_rng(101)
@@ -86,6 +86,74 @@ def test_apply_gate_matches_kron_oracle(targets):
     got = apply_gate(state, Gate(m, name="rand"), targets)
     want = full_matrix(m, targets, n) @ state.amplitudes
     assert np.allclose(got.amplitudes, want, atol=1e-12)
+
+
+def einsum_reference(amps, n, targets, gate=None, kind=None, mode="global"):
+    """Gate action by einsum on reshape([2] * n), independent of the kernel.
+
+    Local mode rescales each branch (an assignment of the other qubits) back
+    to its prior 2-norm; the norms are taken on the state divided by its
+    largest modulus, so no amplitude scale overflows them.
+    """
+    psi = amps.reshape([2] * n)
+    if kind is not None:
+        (q,) = targets
+        x, y = np.take(psi, 0, axis=q), np.take(psi, 1, axis=q)
+        if kind == "W":
+            pair = (x, np.exp(1j * y) * y)
+        else:
+            pair = (x * x - np.conj(y) * np.conj(y), 2.0 * (x * y).real)
+        return np.stack(pair, axis=q).reshape(-1)
+    k = len(targets)
+    g = gate.reshape([2] * (2 * k))
+    rows, cols = list(range(n, n + k)), list(targets)
+    rest = [ax if ax not in targets else rows[targets.index(ax)] for ax in range(n)]
+    top = np.max(np.abs(psi))
+    new = np.einsum(g, rows + cols, psi / top, list(range(n)), rest)
+    if mode == "local":
+        before = np.sqrt(np.sum(np.abs(psi / top) ** 2, axis=tuple(targets), keepdims=True))
+        after = np.sqrt(np.sum(np.abs(new) ** 2, axis=tuple(targets), keepdims=True))
+        new = new * np.where(after > 0, before / np.where(after > 0, after, 1.0), 1.0)
+    return (new * top).reshape(-1)
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n,q", [(6, q) for q in range(6)] + [(9, q) for q in range(9)])
+def test_kernel_matches_einsum_reference(n, q):
+    """Every target of n = 6 and 9, so the amplitudes below the target (b =
+    2^(n-q-1)) take 1, 2, 4, 8 and 16 up: each branch of the kernel's
+    dispatch, in every mode, against one reference."""
+    rng = np.random.default_rng(1000 * n + q)
+    state = StateVector(rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n))
+    unitary = unitary_group.rvs(2, random_state=q)
+    invertible = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) + 1.5 * np.eye(2)
+    diagonal = np.diag(np.exp(2j * np.pi * rng.random(2)) * rng.uniform(0.5, 2.0, 2))
+    for m in (unitary, invertible, diagonal):
+        gate = Gate(m, name="m")
+        for mode in ("unitary", "global", "local"):
+            if mode == "unitary" and gate.kind != "unitary":
+                continue
+            got = apply_gate(state, gate, [q], mode).amplitudes
+            assert_rel_close(got, einsum_reference(state.amplitudes, n, [q], m, mode=mode))
+        for scale in (1e-300, 1e-170, 1e160, 1e300):   # local mode at any scale
+            scaled = StateVector(state.amplitudes * scale)
+            got = apply_gate(scaled, gate, [q], "local").amplitudes
+            assert_rel_close(got, einsum_reference(scaled.amplitudes, n, [q], m, mode="local"))
+    for gate, kind in ((phase_twist_gate(), "W"), (quadratic_gate(), "G")):
+        want = einsum_reference(state.amplitudes, n, [q], kind=kind)
+        assert_rel_close(apply_gate(state, gate, [q], "global").amplitudes, want)
+        assert_rel_close(apply_nonlinear(state, kind, q).amplitudes, want)
+    u2 = unitary_group.rvs(4, random_state=q)
+    for other in ((q + 1) % n, (q + n // 2) % n):
+        for targets in ([q, other], [other, q]):
+            for mode in ("unitary", "local"):
+                got = apply_gate(state, Gate(u2, name="u2"), targets, mode).amplitudes
+                assert_rel_close(got, einsum_reference(state.amplitudes, n, targets, u2,
+                                                       mode=mode))
 
 
 def test_cnot_targets_order():
@@ -226,6 +294,10 @@ def test_marginal_distribution_matches_manual_sum():
         b0, b2 = (idx >> 2) & 1, idx & 1
         want[2 * b0 + b2] += full[idx]
     assert np.allclose(got, want, atol=1e-12)
+    # an out-of-range, negative or repeated qubit is named in the error
+    for qubits in ([5], [-1], [0, 0]):
+        with pytest.raises(ValueError, match=rf"qubit {qubits[0]} "):
+            marginal_distribution(bell_pair(), qubits)
 
 
 def test_postselect_examples():
@@ -242,6 +314,11 @@ def test_postselect_examples():
     for bit in (-1, 2):   # -1 would index the bit-1 branch
         with pytest.raises(ValueError):
             postselect(state, 0, bit)
+    # a circuit checks its postselect step when the step is added
+    with pytest.raises(ValueError, match="qubit 7"):
+        Circuit(2).postselect(7, 1)
+    with pytest.raises(ValueError, match="got 2"):
+        Circuit(2).postselect(0, 2)
 
     # a weight-1/2 branch at extreme scales: the norm neither underflows
     # nor overflows
@@ -291,6 +368,23 @@ def test_apply_nonlinear_branchwise():
         gx, gy = quadratic_map(cols[row, 0], cols[row, 1])
         assert out.amplitudes[2 * row] == pytest.approx(gx, rel=1e-12)
         assert out.amplitudes[2 * row + 1] == pytest.approx(gy, rel=1e-12)
+
+
+def test_nonlinear_overflow_is_typed():
+    # G squares amplitudes: at 1e160 its output leaves the finite range
+    big = StateVector(np.array([1.0, 1.0]) * 1e160)
+    with pytest.raises(AmplitudeOverflow, match="G"):
+        apply_gate(big, quadratic_gate(), [0], "global")
+    # W exponentiates -Im(y): e^800 overflows
+    with pytest.raises(AmplitudeOverflow, match="W"):
+        apply_gate(StateVector(np.array([0.0, -800j])), phase_twist_gate(), [0], "global")
+    # ... and e^-800 underflows to the all-zero state, which is refused too
+    with pytest.raises(ValueError, match="all-zero"):
+        apply_gate(StateVector(np.array([0.0, 800j])), phase_twist_gate(), [0], "global")
+    # below the overflow threshold G stays finite
+    out = apply_gate(StateVector(np.array([1.0, 1.0]) * 1e150), quadratic_gate(), [0], "global")
+    assert out.amplitudes[0] == 0.0
+    assert out.amplitudes[1] == pytest.approx(2e300, rel=1e-15)
 
 
 def test_nonlinear_gate_mode_restrictions():

@@ -29,6 +29,13 @@ def test_p_norm_known_values():
     assert p_norm(np.array([1j, -1]), 4) == pytest.approx(2 ** 0.25)
     assert p_norm([0.5, 0.5], 1100) == 0.5 * 2 ** (1 / 1100)   # 0.5^1100 underflows
     assert p_norm(np.array([[3.0, 4.0], [0.0, 0.0]]), 2, axis=-1).tolist() == [5.0, 0.0]
+    # a two-entry axis, reduced on its halves, gives the bits of one norm per line
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2))
+    for axis, p in ((0, 2.0), (2, 2.0), (2, 3.0), (-1, 2.0)):
+        lines = np.moveaxis(v, axis, -1).reshape(-1, 2)
+        got = p_norm(v, p, axis=axis).reshape(-1)
+        assert got.tolist() == [p_norm(line, p) for line in lines]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -math.inf])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from circuitgen import random_mixed_circuit
 
-from qvlab.engine import (Circuit, Gate, StateVector, ZeroBranch, bell_pair,
-                          cnot, hadamard, pauli_x, phase_twist_gate, run_circuit)
+from qvlab.engine import (AmplitudeOverflow, Circuit, Gate, StateVector, ZeroBranch,
+                          bell_pair, cnot, hadamard, pauli_x, phase_twist_gate,
+                          quadratic_gate, run_circuit)
 from qvlab.pathsum import amplitude_recursive, ground_amplitude
 
 ATOL = 1e-10
@@ -102,6 +103,17 @@ def test_local_mode_matches_dense_at_any_scale(scale):
                     for x in range(4)])
     assert np.all(np.isfinite(dense)) and np.all(dense != 0)
     assert np.allclose(got, dense, rtol=1e-12, atol=0.0)
+
+
+def test_quadratic_overflow_raises_like_dense():
+    # G squares amplitudes: at 1e160 both evaluators refuse, neither returns NaN
+    circuit = Circuit(1).gate(quadratic_gate(), [0], "global")
+    initial = StateVector(np.array([1.0, 1.0]) * 1e160)
+    with pytest.raises(AmplitudeOverflow):
+        run_circuit(circuit, initial)
+    for x in range(2):
+        with pytest.raises(AmplitudeOverflow):
+            amplitude_recursive(circuit, x, initial=initial)
 
 
 def test_local_mode_zero_branch_raises():

@@ -3,28 +3,51 @@
 Amplitude indexing: qubit 0 is the most significant bit of the basis index,
 so ``amps.reshape([2] * n)`` puts qubit i on axis i.
 
-Gate kernel.  A one-target gate on qubit q acts on the view
-``amps.reshape(2**q, 2, b)``, b = 2**(n-q-1) the amplitudes below the target,
-with no copy of the register: matrix gates, local-mode branch norms and the
-two nonlinear maps all read their (target=0, target=1) pairs from it.  The
-product is chosen by b, read off the input:
+Gate kernel.  ``_apply_block`` applies a 2^k x 2^k matrix to the k adjacent
+qubits lo..lo+k-1 on the view ``amps.reshape(2**lo, 2**k, b)``, b =
+2**(n-lo-k) the amplitudes below them, with no copy of the register.  A
+one-target gate on qubit q is its k = 1 case, ``amps.reshape(2**q, 2, b)``;
+local-mode branch norms, the two nonlinear maps and postselection read their
+(target=0, target=1) pairs from that same view.  The product is chosen by
+the row width 2^k b, read off the input:
 
-* b >= 16: ``np.matmul(m, view)``, one 2 x 2 by 2 x b product per slice;
-* b < 16: one GEMM of ``amps.reshape(-1, 2b)`` against ``m.T (x) I_b``
-  (``m.T`` itself at b = 1).
+* 2^k b <= ``GEMM_MAX`` = 16: one GEMM of ``amps.reshape(-1, 2^k b)``
+  against ``m.T (x) I_b`` (``m.T`` itself at b = 1);
+* wider: ``np.matmul(m, view)``, one 2^k x 2^k by 2^k x b product per slice.
 
-The cut at b = 16 was measured at n = 20 on a 2-vCPU VM with OpenBLAS.
-Below it stacked matmul loses, since each slice costs about as much as a
-whole small product: b = 8, 4, 2 and 1 took 20, 35, 75 and 29 ms against
-3.2, 3.1, 2.2 and 2.7 ms for the GEMM.  Above it the GEMM's BLAS buffers
-grow with its inner dimension 2b, by 2, 4 and 8 MB at 2b = 8, 16 and 32
-(each against the half), and a GEMM for every b < 64 raised the circuits
-benchmark's peak RSS from 152 to 164 MB; from b = 16 on stacked matmul is
-as fast as moving the target axis or faster (11.7 against 11.4 ms at
-b = 16, 8.7 against 11.9 at b = 32).  Multi-target gates move their target axes to
-the front (``_target_columns``), multiply, and move them back: two copies
-of the register, 11-15 ms at n = 20 for a one-target gate against 2.5-5 ms
-on the view.
+The cut was measured at n = 20 on a 2-vCPU VM with OpenBLAS.  Below it
+stacked matmul loses, since each slice costs about as much as a whole small
+product: for k = 1, b = 8, 4, 2 and 1 took 20, 35, 75 and 29 ms against
+3.2, 3.1, 2.2 and 2.7 ms for the GEMM.  Above it the GEMM is as fast or
+faster (k = 4, b = 2: 1.9 against 12 ms stacked) but its BLAS buffers grow
+with its inner dimension: with the cut at 64 or 128 the circuits
+benchmark's peak RSS read 156 and 160 MB against 139 MB at 16, for the same
+throughput.  From b = 16 on stacked matmul is as fast as moving the target
+axis or faster.  Multi-target gates move their target axes to the front
+(``_target_columns``), multiply, and move them back: two copies of the
+register, 11-15 ms at n = 20 for a one-target gate against 2.5-5 ms on the
+view.
+
+Fusion.  Each gate is a pass over all 2^n amplitudes, memory-bound, so
+``run_circuit`` makes one pass of a run of one-target steps.  A step joins
+the run when its gate kind is ``unitary`` and its mode ``unitary`` or
+``global``, and the run's targets stay inside a window of at most
+``FUSE_WINDOW`` = 4 adjacent qubits; a step outside the window starts a new
+run, and local-mode, invertible, nonlinear and multi-target steps and
+postselection end it.  The matrices on each qubit are multiplied in step
+order, and their Kronecker product over the window, the identity on idle
+qubits, goes through ``_apply_block``.  Each fused step passes the target
+and mode checks of ``apply_gate``, so errors do not change.  Only unitaries
+are fused: a product of unitaries is unitary, so the block neither
+overflows nor underflows at any amplitude scale, while two global-mode
+gates of 1e160 take amplitudes of 1e-300 to 1e20 one at a time but would
+make a block of 1e320.  The window of 4 was measured like the cut: an H
+layer at n = 20 took 55, 29, 27, 22, 23 and 28 ms with windows of 1 to 6
+qubits, and the benchmark's five dense circuits at n = 16..20 took 275,
+220, 216, 208, 214 and 228 ms; a block of 2^k rows costs 2^k
+multiply-adds per amplitude, which wider windows no longer hide behind
+memory traffic.  Fused results differ from one step at a time only by
+rounding.
 
 Three normalization modes govern how a gate acts:
 
@@ -34,7 +57,10 @@ Three normalization modes govern how a gate acts:
 * ``local``    -- after the linear action, every branch over the non-target
   qubits is rescaled back to the 2-norm weight it had before the gate.
   ``_rescale_branches`` is that rescale, with scale-safe norms; the path sum
-  in ``pathsum`` calls it too, so the two evaluators share one rule.
+  in ``pathsum`` calls it too, so the two evaluators share one rule.  The
+  norms take one pass of |a|^2 sums and fall back to ``p_norm`` only on
+  branches whose sum is out of the safe range (``_branch_norms``): 11-18
+  against 24-37 ms for a local-mode gate at n = 20.
 
 Two nonlinear single-qubit maps act branchwise on (target=0, target=1)
 amplitude pairs with no renormalization: the phase-twist map
@@ -53,6 +79,7 @@ states are first-class values.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -61,10 +88,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .linalg import NonPositiveP, is_unitary, p_distribution, p_norm
+from .linalg import NonPositiveP, _halves, is_unitary, p_distribution, p_norm
 
 UNITARY_TOL = 1e-10
 CONDITION_LIMIT = 1e12
+FUSE_WINDOW = 4   # most adjacent qubits that one fused block of one-target gates spans
+GEMM_MAX = 16     # widest row 2^k b that the gate kernel multiplies by one GEMM
 
 
 class ZeroBranch(RuntimeError):
@@ -298,9 +327,19 @@ def _columns_to_amps(cols: np.ndarray, shape, targets: tuple[int, ...]) -> np.nd
     return np.moveaxis(tensor, range(k), targets).reshape(-1)
 
 
-def _target_view(amps: np.ndarray, target: int) -> np.ndarray:
-    """The register as (2^q, 2, b) with qubit q = ``target`` on axis 1; no copy."""
-    return amps.reshape(2 ** target, 2, -1)
+def _target_view(amps: np.ndarray, lo: int, k: int = 1) -> np.ndarray:
+    """The register as (2^lo, 2^k, b) with qubits lo..lo+k-1 on axis 1; no copy."""
+    return amps.reshape(2 ** lo, 2 ** k, -1)
+
+
+def _apply_block(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``m`` (2^k x 2^k) on axis 1 of the view ``v`` = (2^lo, 2^k, b): the gate
+    kernel.  The product is chosen by the row width 2^k b (module docstring)."""
+    d, b = v.shape[1:]
+    if d * b <= GEMM_MAX:   # one GEMM: rows of d*b amplitudes times m.T (x) I_b
+        factor = m.T if b == 1 else _kron(m.T, _EYE[b])
+        return (v.reshape(-1, d * b) @ factor).reshape(v.shape)
+    return np.matmul(m, v)
 
 
 def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int],
@@ -318,13 +357,9 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int],
         raise NonUnitaryInModeI(f"mode 'unitary' rejects kind '{gate.kind}'")
 
     m = gate.matrix
-    if gate.arity == 1:   # on the view; see the module docstring for the cut at b = 16
+    if gate.arity == 1:   # the k = 1 case of the block kernel
         v = _target_view(state.amplitudes, targets[0])
-        b = v.shape[2]
-        if b >= 16:
-            new = np.matmul(m, v)
-        else:   # one GEMM: rows of 2b amplitudes times m.T (x) I_b
-            new = (v.reshape(-1, 2 * b) @ _kron_eye(m.T, b)).reshape(v.shape)
+        new = _apply_block(v, m)
         if mode is NormalizationMode.LOCAL:
             new = _rescale_branches(v, new, axis=1)
         return StateVector(new.reshape(-1))
@@ -336,15 +371,14 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int],
     return StateVector(_columns_to_amps(new_cols, shape, targets))
 
 
+# I_b for the GEMM (b <= GEMM_MAX / 2) and I_2 for an idle qubit in a fused block
 _EYE = {b: np.eye(b) for b in (2, 4, 8)}
 
 
-def _kron_eye(a: np.ndarray, b: int) -> np.ndarray:
-    """``np.kron(a, I_b)`` for b in 1, 2, 4, 8, without np.kron's per-call cost."""
-    if b == 1:
-        return a
-    k = a.shape[0] * b
-    return (a[:, None, :, None] * _EYE[b][:, None, :]).reshape(k, k)
+def _kron(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two square matrices, without np.kron's per-call cost."""
+    k = a.shape[0] * c.shape[0]
+    return (a[:, None, :, None] * c[:, None, :]).reshape(k, k)
 
 
 def _rescale_branches(branches: np.ndarray, new: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -353,16 +387,53 @@ def _rescale_branches(branches: np.ndarray, new: np.ndarray, axis: int = 0) -> n
 
     A branch is a line along ``axis``, which indexes the gate's targets.  The
     norms are scale-safe, so a branch at any amplitude scale keeps its
-    weight; an empty branch stays empty.  Raises ZeroBranch when a nonzero
-    branch was mapped to zero.
+    weight; an empty branch stays empty.  ``new`` is scaled in place and
+    returned.  Raises ZeroBranch when a nonzero branch was mapped to zero.
     """
-    before = p_norm(branches, 2.0, axis=axis)
-    after = p_norm(new, 2.0, axis=axis)
+    before = _branch_norms(branches, axis)
+    after = _branch_norms(new, axis)
     if np.any((before > 0.0) & (after == 0.0)):
         raise ZeroBranch(
             "a branch with nonzero weight was annihilated under local normalization")
     ratio = np.divide(before, after, out=np.ones_like(before), where=after > 0.0)
-    return new * np.expand_dims(ratio, axis)
+    new *= np.expand_dims(ratio, axis)
+    return new
+
+
+# sums of squares inside this range neither underflowed nor overflowed
+_SAFE_SQ = (2.0 ** -900, 2.0 ** 900)
+
+
+def _branch_norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """2-norms of the lines of ``x`` along ``axis``, scale-safe.
+
+    One pass forms each line's sum of |a|^2.  Only the lines whose sum is 0,
+    not finite, or so small or large that a square may have under- or
+    overflowed are taken again, by ``p_norm``, which scales before squaring;
+    lines that are all zero keep their norm of 0 and skip it.
+    """
+    with np.errstate(over="ignore"):
+        sums = _line_sums(_abs_squared(x), axis)
+    norms = np.sqrt(sums)
+    if not _SAFE_SQ[0] <= sums.min() <= sums.max() <= _SAFE_SQ[1]:   # NaN fails too
+        redo = ~((sums >= _SAFE_SQ[0]) & (sums <= _SAFE_SQ[1]))
+        redo &= _line_sums(x != 0, axis) > 0
+        if redo.any():
+            norms[redo] = p_norm(np.moveaxis(x, axis, -1)[redo], 2.0, axis=-1)
+    return norms
+
+
+def _abs_squared(x: np.ndarray) -> np.ndarray:
+    """|x|^2 elementwise, with one temporary the size of ``x``'s real part."""
+    sq = x.real * x.real
+    sq += x.imag * x.imag
+    return sq
+
+
+def _line_sums(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sums along ``axis``; a two-entry axis is added as two halves, by one
+    ufunc call (as ``p_norm`` does), not by numpy's slow short reduce."""
+    return np.add(*_halves(a, axis)).squeeze(axis) if a.shape[axis] == 2 else a.sum(axis)
 
 
 def apply_nonlinear(state: StateVector, kind: str, target: int) -> StateVector:
@@ -513,15 +584,44 @@ class Circuit:
 
 
 def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    state = initial if initial is not None else StateVector.ground(circuit.num_qubits)
-    if state.num_qubits != circuit.num_qubits:
+    """Run the steps in order, each run of fusable steps as one block gate."""
+    n = circuit.num_qubits
+    state = initial if initial is not None else StateVector.ground(n)
+    if state.num_qubits != n:
         raise ValueError("initial state size does not match circuit")
+    run: dict[int, np.ndarray] = {}   # qubit -> product of the run's matrices on it
     for step in circuit.steps:
+        if _fusable(step):
+            (q,) = _check_targets(n, step.targets, 1)
+            if run and max(*run, q) - min(*run, q) >= FUSE_WINDOW:
+                state, run = _apply_run(state, run), {}
+            m = step.gate.matrix
+            run[q] = m @ run[q] if q in run else m
+            continue
+        state, run = _apply_run(state, run), {}
         if isinstance(step, PostselectStep):
             state = postselect(state, step.qubit, step.bit)
         else:
             state = apply_gate(state, step.gate, step.targets, step.mode)
-    return state
+    return _apply_run(state, run)
+
+
+def _fusable(step) -> bool:
+    """A one-target unitary gate in unitary or global mode joins a run."""
+    return (isinstance(step, GateStep) and step.gate.kind == "unitary"
+            and step.gate.arity == 1
+            and NormalizationMode(step.mode) is not NormalizationMode.LOCAL)
+
+
+def _apply_run(state: StateVector, run: dict[int, np.ndarray]) -> StateVector:
+    """A run's per-qubit products, Kronecker-multiplied over its window of
+    adjacent qubits (identity on idle ones), applied in one pass."""
+    if not run:
+        return state
+    lo, hi = min(run), max(run)
+    block = functools.reduce(_kron, [run.get(q, _EYE[2]) for q in range(lo, hi + 1)])
+    v = _target_view(state.amplitudes, lo, hi - lo + 1)
+    return StateVector(_apply_block(v, block).reshape(-1))
 
 
 def bell_pair() -> StateVector:

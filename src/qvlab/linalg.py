@@ -104,8 +104,16 @@ def is_unitary(m, tol: float = ORTHONORMAL_TOL) -> bool:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
+    return _gram_residual(m) <= tol
+
+
+def _gram_residual(m: np.ndarray) -> float:
+    """max |m^H m - I| of a square matrix; inf where that is not finite
+    (entries above about 1e154 overflow the Gram product), so no tolerance
+    passes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    return residual if math.isfinite(residual) else math.inf
 
 
 def _orthogonality_failure(m: np.ndarray, tol: float) -> str | None:
@@ -115,7 +123,7 @@ def _orthogonality_failure(m: np.ndarray, tol: float) -> str | None:
     m = m.real
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return "matrix must be square"
-    if not np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) <= tol:   # NaN fails too
+    if not _gram_residual(m) <= tol:
         return f"matrix is not orthogonal within {tol:g}"
     return None
 

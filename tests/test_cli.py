@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 import qvlab
 from qvlab import postbqp
@@ -28,6 +29,18 @@ BELL_CIRCUIT = {
 }
 
 
+def haar_layers_circuit(n=10, seed=7):
+    """An H layer, then Haar one-qubit unitaries on random qubits: runs of
+    steps that run_circuit fuses into blocks."""
+    rng = np.random.default_rng(seed)
+    circuit = qvlab.Circuit(n)
+    for q in range(n):
+        circuit.gate(qvlab.hadamard(), [q])
+    for q in rng.integers(0, n, size=3 * n):
+        circuit.gate(qvlab.Gate(unitary_group.rvs(2, random_state=rng)), [int(q)])
+    return circuit.to_json_dict()
+
+
 @pytest.fixture
 def files(tmp_path):
     def dump(name, payload):
@@ -37,6 +50,7 @@ def files(tmp_path):
 
     return {
         "bell": dump("bell.json", BELL_CIRCUIT),
+        "haar_layers": dump("haar_layers.json", haar_layers_circuit()),
         "hadamard": dump("h.json", {"matrix": [[R, R], [R, -R]]}),
         "signed_perm": dump("sp.json", {"matrix": [[0, -1], [1, 0]]}),
         "flip": dump("flip.json", {"matrix": [[1, 0], [0, -1]]}),
@@ -84,8 +98,9 @@ def test_simulate_bell(files, capsys):
     assert set(data["config"]) == {"circuit", "p", "seed", "tol", "trials"}
 
 
-def test_simulate_byte_identical(files, capsys):
-    argv = ["simulate", "--circuit", files["bell"], "--p", "3"]
+@pytest.mark.parametrize("circuit", ["bell", "haar_layers"])
+def test_simulate_byte_identical(files, capsys, circuit):
+    argv = ["simulate", "--circuit", files[circuit], "--p", "3"]
     _, first, _ = run(argv, capsys)
     _, second, _ = run(argv, capsys)
     assert first == second

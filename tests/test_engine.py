@@ -7,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
-from qvlab.engine import (AmplitudeOverflow, Circuit, Gate, IllConditionedGate,
-                          MeasurementRule, NonUnitaryInModeI, StateVector,
-                          ZeroBranch, ZeroProbabilityBranch, apply_gate,
-                          apply_nonlinear, basis_index, bell_pair, cnot,
-                          hadamard, marginal_distribution, measure_distribution,
-                          phase_twist_gate, phase_twist_map, postselect,
-                          quadratic_gate, quadratic_map, run_circuit, sample)
+from qvlab.engine import (AmplitudeOverflow, Circuit, Gate, GateStep,
+                          IllConditionedGate, MeasurementRule, NonUnitaryInModeI,
+                          PostselectStep, StateVector, ZeroBranch,
+                          ZeroProbabilityBranch, apply_gate, apply_nonlinear,
+                          basis_index, bell_pair, cnot, hadamard,
+                          marginal_distribution, measure_distribution,
+                          pauli_x, phase_twist_gate, phase_twist_map,
+                          postselect, quadratic_gate, quadratic_map,
+                          run_circuit, sample)
 from qvlab.linalg import NonPositiveP
 
 RNG = np.random.default_rng(101)
@@ -156,6 +158,90 @@ def test_kernel_matches_einsum_reference(n, q):
                                                        mode=mode))
 
 
+def run_steps(circuit, state):
+    """Every step on its own through apply_gate or postselect: the reference
+    for run_circuit, which fuses runs of one-target unitary steps."""
+    for step in circuit.steps:
+        if isinstance(step, PostselectStep):
+            state = postselect(state, step.qubit, step.bit)
+        else:
+            state = apply_gate(state, step.gate, step.targets, step.mode)
+    return state
+
+
+def _add_random_run(rng, circuit, lo):
+    """One-target unitary steps on a window of 1..4 qubits from ``lo`` on;
+    qubits repeat, and the window need not start on a multiple of 4."""
+    width = int(rng.integers(1, min(4, circuit.num_qubits - lo) + 1))
+    for _ in range(int(rng.integers(1, 7))):
+        q = lo + int(rng.integers(width))
+        gate = (hadamard(), pauli_x(),
+                Gate(unitary_group.rvs(2, random_state=rng), name="u"))[rng.integers(3)]
+        circuit.gate(gate, [q], ("unitary", "global")[rng.integers(2)])
+
+
+def _add_barrier(rng, circuit, kind, q):
+    """A step that ends a fused run, on qubit q."""
+    n = circuit.num_qubits
+    other = (q + 1 + int(rng.integers(n - 1))) % n
+    haar = Gate(unitary_group.rvs(2, random_state=rng), name="u")
+    # singular values in [0.8, 1]: a chain of these neither overflows nor goes subnormal
+    invertible = haar.matrix @ np.diag(rng.uniform(0.8, 1.0, 2))
+    if kind == "local":   # a unitary gate, but local mode is never fused
+        circuit.gate(haar, [q], "local")
+    elif kind == "invertible":
+        circuit.gate(Gate(invertible, name="m"), [q], "global")
+    elif kind == "nonlinear":
+        circuit.gate(phase_twist_gate(), [q], "global")
+    elif kind == "multi-target":
+        circuit.gate(Gate(unitary_group.rvs(4, random_state=rng), name="u2"), [q, other])
+    elif kind == "postselect":   # a Haar rotation first leaves no empty branch
+        circuit.gate(haar, [q]).postselect(q, int(rng.integers(2)))
+
+
+@pytest.mark.parametrize("n", [6, 9])
+@pytest.mark.parametrize("barrier", ["none", "local", "invertible", "nonlinear",
+                                     "multi-target", "postselect"])
+def test_fused_runs_match_step_by_step(n, barrier):
+    """A random run from every window start, so the amplitudes below the
+    window (b) take 1 up to 2^(n-1), each run then ended by one barrier kind
+    (or by the window limit alone), at amplitude scales 1e-300..1e300."""
+    rng = np.random.default_rng([n, len(barrier)])
+    circuit = Circuit(n)
+    for lo in list(range(n)) * 2:
+        _add_random_run(rng, circuit, lo)
+        if barrier != "none":
+            _add_barrier(rng, circuit, barrier, int(rng.integers(n)))
+    state = StateVector(rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)).normalized()
+    # W exponentiates its amplitudes' imaginary parts, so it overflows at 1e300
+    scales = (1.0, 1e-300) if barrier == "nonlinear" else (1.0, 1e-300, 1e300)
+    for scale in scales:
+        scaled = StateVector(state.amplitudes * scale)
+        assert_rel_close(run_circuit(circuit, scaled).amplitudes,
+                         run_steps(circuit, scaled).amplitudes)
+
+
+def test_fusion_keeps_step_checks_and_fuses_unitaries_only():
+    # an invertible gate in a unitary-mode step inside a run is still refused
+    circuit = (Circuit(3).gate(hadamard(), [0]).gate(Gate(np.diag([1.0, 0.5])), [1])
+               .gate(hadamard(), [2]))
+    with pytest.raises(NonUnitaryInModeI, match="mode 'unitary' rejects kind 'invertible'"):
+        run_circuit(circuit)
+    # a step appended by hand is checked as apply_gate checks it
+    circuit = Circuit(3).gate(hadamard(), [0])
+    circuit.steps.append(GateStep(hadamard(), (3,)))
+    with pytest.raises(ValueError, match="qubit 3 is out of range for 3 qubits"):
+        run_circuit(circuit)
+    # two gates of 1e160 take amplitudes of 1e-300 to 1e20; their product,
+    # 1e320, would overflow, so global-mode invertible gates are not fused
+    big = Gate(np.diag([1e160, 1e160]))
+    circuit = Circuit(2).gate(big, [0], "global").gate(big, [1], "global")
+    initial = StateVector(np.full(4, 1e-300))
+    got = run_circuit(circuit, initial).amplitudes
+    assert np.all(np.isfinite(got))
+    assert_rel_close(got, run_steps(circuit, initial).amplitudes)
+
+
 def test_cnot_targets_order():
     # control is targets[0]; |10> flips the second qubit
     state = StateVector.from_basis(2, "10")
@@ -178,6 +264,16 @@ def test_condition_guard():
     g = Gate(np.diag([1.0, 1e-15]), condition_override=True)
     out = apply_gate(StateVector(np.array([1.0, 1.0])), g, [0], "global")
     assert out.amplitudes[1] == pytest.approx(1e-15)
+
+
+def test_overflowing_gram_makes_a_gate_invertible():
+    # m^H m of a 1e160 gate overflows; the gate is classified, not warned about
+    g = Gate([[1e160, 0], [0, 1e160]])
+    assert g.kind == "invertible"
+    with pytest.raises(NonUnitaryInModeI):
+        apply_gate(StateVector.ground(1), g, [0], "unitary")
+    out = apply_gate(StateVector(np.array([1.0, -1.0])), g, [0], "global")
+    assert np.array_equal(out.amplitudes, [1e160, -1e160])
 
 
 def test_global_mode_worked_example():

@@ -177,6 +177,7 @@ def test_decompose_rejects_non_orthogonal():
     # is_real_orthogonal runs the same check, so it says no to each input
     for bad in ([[1.0, 1.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
                 1.0,   # 0-d: no shape to index
+                [[1e160, 0.0], [0.0, 1e160]],   # overflows the Gram product
                 [[1.0, 1j], [0.0, 1.0]]):
         assert not is_real_orthogonal(np.array(bad))
         with pytest.raises(NotOrthogonal):
@@ -205,3 +206,11 @@ def test_is_unitary_tolerance():
     assert is_unitary(u)
     u[0, 1] = 1e-6
     assert not is_unitary(u)
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e160, 1e300])
+def test_is_unitary_overflowing_gram_is_not_unitary(scale):
+    # m^H m overflows to inf (and inf - inf to NaN off the diagonal): no
+    # warning, and the answer is no
+    assert not is_unitary(np.eye(2) * scale)
+    assert not is_unitary(np.array([[1.0, 1.0], [1.0, -1.0]]) * scale)

@@ -22,31 +22,72 @@ product: for k = 1, b = 8, 4, 2 and 1 took 20, 35, 75 and 29 ms against
 faster (k = 4, b = 2: 1.9 against 12 ms stacked) but its BLAS buffers grow
 with its inner dimension: with the cut at 64 or 128 the circuits
 benchmark's peak RSS read 156 and 160 MB against 139 MB at 16, for the same
-throughput.  From b = 16 on stacked matmul is as fast as moving the target
-axis or faster.  Multi-target gates move their target axes to the front
+throughput.  A cut of 32, which makes k = 4 at b = 2 (and k = 1 at b = 16) one
+GEMM, lost end to end: in six alternating runs of the circuits benchmark
+(seed 1) it read 8.1-10.1 against 9.4-10.7 ops/s at 16, lower in four of
+six, with median p50 50 against 48 ms and peak RSS 150 against 139 MB in
+every run.  From b = 16 on stacked matmul is as fast as moving the target
+axis or faster.  Multi-target gates that are not controlled, and every
+multi-target gate in local mode, move their target axes to the front
 (``_target_columns``), multiply, and move them back: two copies of the
 register, 11-15 ms at n = 20 for a one-target gate against 2.5-5 ms on the
 view.
+
+Controlled gates.  A two-target gate whose matrix is block-diag(I, U) or
+block-diag(U, I) is U on targets[1] where the control qubit c = targets[0]
+has bit 1 or 0 (``Gate.controlled``, decided once).  In unitary and global
+mode ``_apply_controlled`` applies it, or a fused block of such gates, with
+no moveaxis, by one of two products chosen from the layout:
+
+* the control slice, when the window lies below the control (c < lo,
+  "below" meaning less significant, as b counts the amplitudes below):
+  the half of the register where c has its bit is the view
+  ``amps.reshape(2**c, 2, -1)[:, bit]``, which splits as (2^c,
+  2^(lo-c-1), 2^k, b) with contiguous rows of 2^k b amplitudes, so
+  ``_apply_block`` runs on it as on the register: one GEMM for each of
+  the 2^c values of the qubits above the control, or stacked matmul as
+  above.  The idle half is copied once, the active half read once and
+  written once;
+* the full pass otherwise: the block on the whole register through
+  ``_apply_block``, then the idle half put back from the input.
+
+The slice is taken for stacked matmul, which makes half the products of
+the full pass, and for GEMMs of at least 512 amplitudes (2^(n-c-1)); fewer
+than that and its 2^c small GEMMs lose to the full pass's one.  Above the
+control the slice's rows are cut by the control bit, so only stacked
+matmul fits, with short rows of 2^(n-c-1) amplitudes where the control is
+deep.  Measured at n = 20 on the same VM for a controlled H, in ms, as
+(moveaxis, slice, full pass) per (c, t): (0, 19) 6.1, 1.05, 1.57; (3, 18)
+7.5, 0.98, 1.54; (9, 17) 5.9, 1.60, 1.70; (12, 17) 6.1, 2.54, 1.94;
+(17, 19) 7.0, 25.6, 2.35; (0, 12) 5.3, 1.50, 2.70; and with the target
+above the control (15, 3) 5.3, 4.80, 2.04 and (18, 3) 7.2, 27.4, 2.53.
+The full pass costs what the one-target kernel costs at the target's b,
+so it loses to moveaxis where that kernel is slow: with 16 amplitudes
+below the target and the control below it, (16, 15) took 7.8 against 5.7.
 
 Fusion.  Each gate is a pass over all 2^n amplitudes, memory-bound, so
 ``run_circuit`` makes one pass of a run of one-target steps.  A step joins
 the run when its gate kind is ``unitary`` and its mode ``unitary`` or
 ``global``, and the run's targets stay inside a window of at most
 ``FUSE_WINDOW`` = 4 adjacent qubits; a step outside the window starts a new
-run, and local-mode, invertible, nonlinear and multi-target steps and
-postselection end it.  The matrices on each qubit are multiplied in step
-order, and their Kronecker product over the window, the identity on idle
-qubits, goes through ``_apply_block``.  Each fused step passes the target
-and mode checks of ``apply_gate``, so errors do not change.  Only unitaries
-are fused: a product of unitaries is unitary, so the block neither
-overflows nor underflows at any amplitude scale, while two global-mode
-gates of 1e160 take amplitudes of 1e-300 to 1e20 one at a time but would
-make a block of 1e320.  The window of 4 was measured like the cut: an H
-layer at n = 20 took 55, 29, 27, 22, 23 and 28 ms with windows of 1 to 6
-qubits, and the benchmark's five dense circuits at n = 16..20 took 275,
-220, 216, 208, 214 and 228 ms; a block of 2^k rows costs 2^k
-multiply-adds per amplitude, which wider windows no longer hide behind
-memory traffic.  Fused results differ from one step at a time only by
+run, and local-mode, invertible, nonlinear and other multi-target steps and
+postselection end it.  Controlled unitary steps (unitary or global mode)
+make runs of their own by the same rule: a run shares one control and one
+bit, and a step with another control or bit, or a one-target step, ends
+it.  A window that covers the control is the identity there, and takes the
+full pass.  The matrices on each qubit are multiplied in step order, and
+their Kronecker product over the window, the identity on idle qubits, goes
+through ``_apply_block``, or ``_apply_controlled`` for a controlled run.
+Each fused step passes the target and mode checks of ``apply_gate``, so
+errors do not change.  Only unitaries are fused: a product of unitaries is
+unitary, so the block neither overflows nor underflows at any amplitude
+scale, while two global-mode gates of 1e160 take amplitudes of 1e-300 to
+1e20 one at a time but would make a block of 1e320.  The window of 4 was
+measured like the cut: an H layer at n = 20 took 55, 29, 27, 22, 23 and 28
+ms with windows of 1 to 6 qubits, and the benchmark's five dense circuits
+at n = 16..20 took 275, 220, 216, 208, 214 and 228 ms; a block of 2^k rows
+costs 2^k multiply-adds per amplitude, which wider windows no longer hide
+behind memory traffic.  Fused results differ from one step at a time only by
 rounding.
 
 Three normalization modes govern how a gate acts:
@@ -144,6 +185,10 @@ class Gate:
     kind is one of "unitary", "invertible", "nonlinear-W" (phase twist) or
     "nonlinear-G" (quadratic).  Matrix gates of arity k carry a 2^k x 2^k
     matrix whose own index treats targets[0] as most significant.
+    ``controlled`` is (bit, U) for a two-target gate that applies U to
+    targets[1] where targets[0] == bit and nothing elsewhere: a matrix that is
+    exactly block-diag(I, U) (bit 1, as CNOT) or block-diag(U, I) (bit 0).
+    It is None for every other gate.
     """
 
     def __init__(self, matrix=None, kind: str | None = None, name: str = "custom",
@@ -153,6 +198,7 @@ class Gate:
             self.kind = kind
             self.matrix = None
             self.arity = 1
+            self.controlled = None
             return
         if matrix is None:
             raise ValueError("matrix gates need a matrix")
@@ -176,9 +222,22 @@ class Gate:
         self.kind = kind
         self.matrix = m
         self.arity = arity
+        self.controlled = _controlled_part(m) if arity == 2 else None
 
     def __repr__(self):
         return f"Gate({self.name}, kind={self.kind}, arity={self.arity})"
+
+
+def _controlled_part(m: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """(bit, U) when the 4x4 ``m`` is block-diag(I, U) (bit 1) or
+    block-diag(U, I) (bit 0) exactly, else None."""
+    if np.any(m[:2, 2:]) or np.any(m[2:, :2]):
+        return None
+    if np.array_equal(m[:2, :2], _EYE[2]):
+        return 1, m[2:, 2:].copy()
+    if np.array_equal(m[2:, 2:], _EYE[2]):
+        return 0, m[:2, :2].copy()
+    return None
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -332,14 +391,46 @@ def _target_view(amps: np.ndarray, lo: int, k: int = 1) -> np.ndarray:
     return amps.reshape(2 ** lo, 2 ** k, -1)
 
 
-def _apply_block(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``m`` (2^k x 2^k) on axis 1 of the view ``v`` = (2^lo, 2^k, b): the gate
-    kernel.  The product is chosen by the row width 2^k b (module docstring)."""
-    d, b = v.shape[1:]
-    if d * b <= GEMM_MAX:   # one GEMM: rows of d*b amplitudes times m.T (x) I_b
+def _apply_block(v: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``m`` (2^k x 2^k) on axis -2 of the view ``v`` = (..., 2^k, b): the gate
+    kernel.  The product is chosen by the row width 2^k b (module docstring).
+
+    ``v`` is the register's view (2^lo, 2^k, b), or the control slice's
+    (2^c, 2^(lo-c-1), 2^k, b), whose rows of 2^k b amplitudes are contiguous
+    too.  The result goes to ``out``, a view of the same shape, if given.
+    """
+    d, b = v.shape[-2:]
+    if d * b <= GEMM_MAX:   # a GEMM per leading index: rows of d*b amplitudes times m.T (x) I_b
         factor = m.T if b == 1 else _kron(m.T, _EYE[b])
-        return (v.reshape(-1, d * b) @ factor).reshape(v.shape)
-    return np.matmul(m, v)
+        rows = v.shape[:-2] + (d * b,)
+        dest = None if out is None else out.reshape(rows)
+        return np.matmul(v.reshape(rows), factor, out=dest).reshape(v.shape)
+    return np.matmul(m, v, out=out)
+
+
+def _apply_controlled(amps: np.ndarray, c: int, bit: int, lo: int, m: np.ndarray) -> np.ndarray:
+    """``m`` (2^k x 2^k) on qubits lo..lo+k-1 of the half of the register
+    where qubit c == bit, the identity on the other half.  If the window
+    covers c, ``m`` must be the identity on it, as a fused block is on a
+    qubit that no step targets.  A new array; the layout picks the product
+    (module docstring)."""
+    d = m.shape[0]
+    b = amps.size // (2 ** lo * d)
+    halves = amps.reshape(2 ** c, 2, -1)   # axis 1 is qubit c
+    # the slice for stacked matmul, or for GEMMs of 512 amplitudes or more
+    if c < lo and (d * b > GEMM_MAX or halves.shape[2] >= 512):
+        # on the control slice: copy the idle half, multiply the active half
+        out = np.empty_like(amps)
+        out_halves = out.reshape(halves.shape)
+        out_halves[:, 1 - bit] = halves[:, 1 - bit]
+        slice_shape = (2 ** c, -1, d, b)
+        _apply_block(halves[:, bit].reshape(slice_shape), m,
+                     out=out_halves[:, bit].reshape(slice_shape))
+        return out
+    # one pass over the whole register, then the idle half put back
+    out = _apply_block(_target_view(amps, lo, d.bit_length() - 1), m).reshape(-1)
+    out.reshape(halves.shape)[:, 1 - bit] = halves[:, 1 - bit]
+    return out
 
 
 def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int],
@@ -363,6 +454,9 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int],
         if mode is NormalizationMode.LOCAL:
             new = _rescale_branches(v, new, axis=1)
         return StateVector(new.reshape(-1))
+    if gate.controlled is not None and mode is not NormalizationMode.LOCAL:
+        bit, u = gate.controlled
+        return StateVector(_apply_controlled(state.amplitudes, targets[0], bit, targets[1], u))
 
     cols, shape = _target_columns(state, targets)
     new_cols = m @ cols
@@ -589,37 +683,54 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
     state = initial if initial is not None else StateVector.ground(n)
     if state.num_qubits != n:
         raise ValueError("initial state size does not match circuit")
-    run: dict[int, np.ndarray] = {}   # qubit -> product of the run's matrices on it
+    run: dict[int, np.ndarray] = {}   # target -> product of the run's matrices on it
+    control = None                     # (qubit, bit) the run is controlled on, or None
     for step in circuit.steps:
-        if _fusable(step):
-            (q,) = _check_targets(n, step.targets, 1)
-            if run and max(*run, q) - min(*run, q) >= FUSE_WINDOW:
-                state, run = _apply_run(state, run), {}
-            m = step.gate.matrix
+        fused = _fusion(n, step)
+        if fused is not None:
+            ctl, q, m = fused
+            if run and (ctl != control or max(*run, q) - min(*run, q) >= FUSE_WINDOW):
+                state, run = _apply_run(state, run, control), {}
+            control = ctl
             run[q] = m @ run[q] if q in run else m
             continue
-        state, run = _apply_run(state, run), {}
+        state, run = _apply_run(state, run, control), {}
         if isinstance(step, PostselectStep):
             state = postselect(state, step.qubit, step.bit)
         else:
             state = apply_gate(state, step.gate, step.targets, step.mode)
-    return _apply_run(state, run)
+    return _apply_run(state, run, control)
 
 
-def _fusable(step) -> bool:
-    """A one-target unitary gate in unitary or global mode joins a run."""
-    return (isinstance(step, GateStep) and step.gate.kind == "unitary"
-            and step.gate.arity == 1
-            and NormalizationMode(step.mode) is not NormalizationMode.LOCAL)
+def _fusion(n: int, step):
+    """(control, target, matrix) of a step that joins a run, else None.
+
+    A one-target unitary gate (control None), or a unitary gate controlled
+    on targets[0] (control (qubit, bit), its U on targets[1]), in unitary or
+    global mode."""
+    if not (isinstance(step, GateStep) and step.gate.kind == "unitary"
+            and NormalizationMode(step.mode) is not NormalizationMode.LOCAL):
+        return None
+    if step.gate.arity == 1:
+        (q,) = _check_targets(n, step.targets, 1)
+        return None, q, step.gate.matrix
+    if step.gate.controlled is None:
+        return None
+    c, q = _check_targets(n, step.targets, 2)
+    bit, u = step.gate.controlled
+    return (c, bit), q, u
 
 
-def _apply_run(state: StateVector, run: dict[int, np.ndarray]) -> StateVector:
+def _apply_run(state: StateVector, run: dict[int, np.ndarray], control) -> StateVector:
     """A run's per-qubit products, Kronecker-multiplied over its window of
-    adjacent qubits (identity on idle ones), applied in one pass."""
+    adjacent qubits (identity on idle ones), applied in one pass, on the
+    control's half of the register for a controlled run."""
     if not run:
         return state
     lo, hi = min(run), max(run)
     block = functools.reduce(_kron, [run.get(q, _EYE[2]) for q in range(lo, hi + 1)])
+    if control is not None:
+        return StateVector(_apply_controlled(state.amplitudes, *control, lo, block))
     v = _target_view(state.amplitudes, lo, hi - lo + 1)
     return StateVector(_apply_block(v, block).reshape(-1))
 

@@ -158,6 +158,84 @@ def test_kernel_matches_einsum_reference(n, q):
                                                        mode=mode))
 
 
+def controlled_matrix(bit, u):
+    """block-diag(I, u) for bit 1, block-diag(u, I) for bit 0."""
+    m = np.eye(4, dtype=complex)
+    m[2 * bit:2 * bit + 2, 2 * bit:2 * bit + 2] = u
+    return m
+
+
+@pytest.mark.parametrize("n,c", [(6, c) for c in range(6)] + [(9, c) for c in range(9)]
+                         + [(11, 0), (11, 1)])
+def test_controlled_kernel_matches_einsum_reference(n, c):
+    """A gate controlled on c against every target t of n = 6 and 9, both
+    bits, unitary and global mode, at amplitude scales 1e-300, 1 and 1e300.
+    Each layout's product runs: the control slice (by GEMM at n = 11, where
+    the slice rows reach 512 amplitudes, by stacked matmul where the target
+    has 16 or more amplitudes below it) and the full pass with the idle half
+    put back."""
+    rng = np.random.default_rng(100 * n + c)
+    state = StateVector(rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)).normalized()
+    haar = unitary_group.rvs(2, random_state=c)
+    # singular values in [0.8, 1]: nothing overflows at 1e300
+    invertible = haar @ np.diag(rng.uniform(0.8, 1.0, 2)) @ unitary_group.rvs(2, random_state=n)
+    for t in (q for q in range(n) if q != c):
+        for bit in (0, 1):
+            for u, modes in ((haar, ("unitary", "global")), (invertible, ("global",))):
+                m = controlled_matrix(bit, u)
+                gate = Gate(m, name="cu")
+                assert gate.controlled[0] == bit
+                for mode in modes:
+                    for scale in (1e-300, 1.0, 1e300):
+                        amps = state.amplitudes * scale
+                        got = apply_gate(StateVector(amps), gate, [c, t], mode).amplitudes
+                        assert_rel_close(got, einsum_reference(amps, n, [c, t], m, mode=mode))
+
+
+def test_controlled_gates_are_classified_once():
+    """CNOT and cH on either bit are controlled on targets[0]; every other
+    4x4 matrix stays general.  All of them match the kron oracle."""
+    h = hadamard().matrix
+    x = pauli_x().matrix
+    u, v = unitary_group.rvs(2, random_state=3), unitary_group.rvs(2, random_state=4)
+    general = {
+        "haar": unitary_group.rvs(4, random_state=5),
+        "block-diag(U, V)": np.block([[u, np.zeros((2, 2))], [np.zeros((2, 2)), v]]),
+        "CNOT on targets[1]": np.eye(4)[[0, 3, 2, 1]],
+    }
+    controlled = {"CNOT": (cnot().matrix, 1, x), "cH(1)": (controlled_matrix(1, h), 1, h),
+                  "cH(0)": (controlled_matrix(0, h), 0, h)}
+    for name, (m, bit, want) in controlled.items():
+        gate = Gate(m, name=name)
+        assert gate.controlled[0] == bit, name
+        assert np.array_equal(gate.controlled[1], want), name
+    for name, m in general.items():
+        assert Gate(m, name=name).controlled is None, name
+    assert hadamard().controlled is None and phase_twist_gate().controlled is None
+    state = random_state(4)
+    for m in [m for m, _, _ in controlled.values()] + list(general.values()):
+        for targets in ([0, 1], [1, 0], [3, 1], [0, 3], [2, 1]):
+            got = apply_gate(state, Gate(m), targets).amplitudes
+            assert np.allclose(got, full_matrix(m, targets, 4) @ state.amplitudes, atol=1e-12)
+            circuit = Circuit(4).gate(Gate(m), targets)
+            assert np.allclose(run_circuit(circuit, state).amplitudes, got, atol=1e-12)
+
+
+def test_local_mode_controlled_gate_matches_reference():
+    """Local mode keeps the general two-target path; a cH there still
+    matches the reference, at every control/target pair."""
+    n = 5
+    rng = np.random.default_rng(55)
+    state = StateVector(rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n))
+    for bit in (0, 1):
+        m = controlled_matrix(bit, hadamard().matrix)
+        for c in range(n):
+            for t in (q for q in range(n) if q != c):
+                got = apply_gate(state, Gate(m), [c, t], "local").amplitudes
+                assert_rel_close(got, einsum_reference(state.amplitudes, n, [c, t], m,
+                                                       mode="local"))
+
+
 def run_steps(circuit, state):
     """Every step on its own through apply_gate or postselect: the reference
     for run_circuit, which fuses runs of one-target unitary steps."""
@@ -180,8 +258,31 @@ def _add_random_run(rng, circuit, lo):
         circuit.gate(gate, [q], ("unitary", "global")[rng.integers(2)])
 
 
-def _add_barrier(rng, circuit, kind, q):
-    """A step that ends a fused run, on qubit q."""
+def _random_controlled_gate(rng, bit):
+    """CNOT (bit 1 only), cH or a Haar U, controlled on targets[0] == bit."""
+    us = [hadamard().matrix, unitary_group.rvs(2, random_state=rng)]
+    if bit == 1:
+        us.append(pauli_x().matrix)
+    return Gate(controlled_matrix(bit, us[rng.integers(len(us))]), name="cu")
+
+
+def _add_controlled_run(rng, circuit, lo):
+    """Controlled unitary steps that share one control and bit, on targets
+    in a window of 1..4 qubits from ``lo`` on; the control lies above the
+    window, below it or inside it.  Returns the control and bit."""
+    n = circuit.num_qubits
+    window = range(lo, lo + int(rng.integers(1, min(4, n - lo) + 1)))
+    control, bit = (lo + 1 + int(rng.integers(n - 1))) % n, int(rng.integers(2))
+    targets = [q for q in window if q != control]
+    for _ in range(int(rng.integers(1, 7))):
+        circuit.gate(_random_controlled_gate(rng, bit), [control, int(rng.choice(targets))],
+                     ("unitary", "global")[rng.integers(2)])
+    return control, bit
+
+
+def _add_barrier(rng, circuit, kind, q, control):
+    """A step that ends a fused run, on qubit q; ``control`` is the (qubit,
+    bit) of the run before it, or None."""
     n = circuit.num_qubits
     other = (q + 1 + int(rng.integers(n - 1))) % n
     haar = Gate(unitary_group.rvs(2, random_state=rng), name="u")
@@ -197,21 +298,35 @@ def _add_barrier(rng, circuit, kind, q):
         circuit.gate(Gate(unitary_group.rvs(4, random_state=rng), name="u2"), [q, other])
     elif kind == "postselect":   # a Haar rotation first leaves no empty branch
         circuit.gate(haar, [q]).postselect(q, int(rng.integers(2)))
+    elif kind == "other-bit":   # the run's control on its other bit
+        c, bit = control if control is not None else (other, 0)
+        target = q if q != c else other
+        circuit.gate(_random_controlled_gate(rng, 1 - bit), [c, target])
+    elif kind == "other-control":   # the run's bit on another control
+        bit = control[1] if control is not None else 1
+        c = other if control is None or other != control[0] else (other + 1) % n
+        target = q if q != c else (c + 1) % n
+        circuit.gate(_random_controlled_gate(rng, bit), [c, target])
 
 
 @pytest.mark.parametrize("n", [6, 9])
 @pytest.mark.parametrize("barrier", ["none", "local", "invertible", "nonlinear",
-                                     "multi-target", "postselect"])
+                                     "multi-target", "postselect", "other-bit",
+                                     "other-control"])
 def test_fused_runs_match_step_by_step(n, barrier):
-    """A random run from every window start, so the amplitudes below the
-    window (b) take 1 up to 2^(n-1), each run then ended by one barrier kind
-    (or by the window limit alone), at amplitude scales 1e-300..1e300."""
+    """From every window start a random run of each kind, one-target steps
+    and controlled steps that share a control and a bit, so the amplitudes
+    below the window (b) take 1 up to 2^(n-1); each run is then ended by one
+    barrier kind (or by the window limit or the next run alone), at
+    amplitude scales 1e-300..1e300.  A step on another control or bit ends a
+    controlled run."""
     rng = np.random.default_rng([n, len(barrier)])
     circuit = Circuit(n)
     for lo in list(range(n)) * 2:
-        _add_random_run(rng, circuit, lo)
-        if barrier != "none":
-            _add_barrier(rng, circuit, barrier, int(rng.integers(n)))
+        for add_run in (_add_random_run, _add_controlled_run):
+            control = add_run(rng, circuit, lo)
+            if barrier != "none":
+                _add_barrier(rng, circuit, barrier, int(rng.integers(n)), control)
     state = StateVector(rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)).normalized()
     # W exponentiates its amplitudes' imaginary parts, so it overflows at 1e300
     scales = (1.0, 1e-300) if barrier == "nonlinear" else (1.0, 1e-300, 1e300)

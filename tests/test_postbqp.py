@@ -220,6 +220,28 @@ def test_gadget_empty_branches():
     assert report.measured_log2 == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("bit", [0, 1])
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_gadget_fan_out_matches_step_by_step(bit, p):
+    """The fused fan-out grows the state that m separate conditioned
+    Hadamards grow, for every m up to 12 and every qubit of a 3-qubit input."""
+    rng = np.random.default_rng([int(p), bit])
+    state = StateVector(rng.normal(size=8) + 1j * rng.normal(size=8)).normalized()
+    for qubit in range(3):
+        for m in range(13):
+            grown, report = postselection_gadget(state, qubit, p, m, bit=bit)
+            c = report.conditioned_bit
+            cond_h = np.eye(4, dtype=complex)
+            cond_h[2 * c:2 * c + 2, 2 * c:2 * c + 2] = hadamard().matrix
+            cond_h = Gate(cond_h, name="cH")
+            amps = np.zeros(2 ** (3 + m), dtype=complex)
+            amps[np.arange(8) << m] = state.amplitudes
+            want = StateVector(amps)
+            for ancilla in range(3, 3 + m):
+                want = apply_gate(want, cond_h, [qubit, ancilla])
+            assert np.max(np.abs(grown.amplitudes - want.amplitudes)) <= 1e-15, (qubit, m)
+
+
 def test_gadget_rejections_and_degenerate_sizes():
     state = StateVector(np.array([1.0, 1.0]) / math.sqrt(2))
     with pytest.raises(PEqualsTwo):

@@ -51,6 +51,14 @@ no moveaxis, by one of two products chosen from the layout:
 * the full pass otherwise: the block on the whole register through
   ``_apply_block``, then the idle half put back from the input.
 
+The full pass throws away its products on the idle half.  A unitary block
+grows no amplitude by more than 2^(k/2), so those can overflow only where
+the idle half holds amplitudes within that factor of the largest double;
+an invertible gate in global mode can grow them by its whole gain, so it
+always takes the slice, also where the window lies above the control: there
+the active half is (2^lo, 2^(c-lo-k), 2^k, 2^(n-c-1)) after one swap of
+axes, and stacked matmul runs on it.
+
 The slice is taken for stacked matmul, which makes half the products of
 the full pass, and for GEMMs of at least 512 amplitudes (2^(n-c-1)); fewer
 than that and its 2^c small GEMMs lose to the full pass's one.  Above the
@@ -408,24 +416,32 @@ def _apply_block(v: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) ->
     return np.matmul(m, v, out=out)
 
 
-def _apply_controlled(amps: np.ndarray, c: int, bit: int, lo: int, m: np.ndarray) -> np.ndarray:
+def _apply_controlled(amps: np.ndarray, c: int, bit: int, lo: int, m: np.ndarray, *,
+                      unitary: bool) -> np.ndarray:
     """``m`` (2^k x 2^k) on qubits lo..lo+k-1 of the half of the register
     where qubit c == bit, the identity on the other half.  If the window
     covers c, ``m`` must be the identity on it, as a fused block is on a
-    qubit that no step targets.  A new array; the layout picks the product
-    (module docstring)."""
+    qubit that no step targets.  A new array; the layout and whether ``m``
+    is unitary pick the product (module docstring)."""
     d = m.shape[0]
     b = amps.size // (2 ** lo * d)
     halves = amps.reshape(2 ** c, 2, -1)   # axis 1 is qubit c
-    # the slice for stacked matmul, or for GEMMs of 512 amplitudes or more
-    if c < lo and (d * b > GEMM_MAX or halves.shape[2] >= 512):
+    # the slice for stacked matmul, for GEMMs of 512 amplitudes or more, and
+    # for a non-unitary m, whose products on the idle half could overflow
+    if not unitary or c < lo and (d * b > GEMM_MAX or halves.shape[2] >= 512):
         # on the control slice: copy the idle half, multiply the active half
         out = np.empty_like(amps)
         out_halves = out.reshape(halves.shape)
         out_halves[:, 1 - bit] = halves[:, 1 - bit]
-        slice_shape = (2 ** c, -1, d, b)
-        _apply_block(halves[:, bit].reshape(slice_shape), m,
-                     out=out_halves[:, bit].reshape(slice_shape))
+        if c < lo:
+            slice_shape = (2 ** c, -1, d, b)
+            _apply_block(halves[:, bit].reshape(slice_shape), m,
+                         out=out_halves[:, bit].reshape(slice_shape))
+        else:   # rows cut by the control bit: (2^lo, 2^(c-lo-k), 2^k, 2^(n-c-1))
+            split = (2 ** lo, d, -1, 2, halves.shape[2])
+            active = (slice(None), slice(None), slice(None), bit)
+            np.matmul(m, amps.reshape(split)[active].swapaxes(1, 2),
+                      out=out.reshape(split)[active].swapaxes(1, 2))
         return out
     # one pass over the whole register, then the idle half put back
     out = _apply_block(_target_view(amps, lo, d.bit_length() - 1), m).reshape(-1)
@@ -456,7 +472,8 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int],
         return StateVector(new.reshape(-1))
     if gate.controlled is not None and mode is not NormalizationMode.LOCAL:
         bit, u = gate.controlled
-        return StateVector(_apply_controlled(state.amplitudes, targets[0], bit, targets[1], u))
+        return StateVector(_apply_controlled(state.amplitudes, targets[0], bit, targets[1], u,
+                                             unitary=gate.kind == "unitary"))
 
     cols, shape = _target_columns(state, targets)
     new_cols = m @ cols
@@ -730,7 +747,7 @@ def _apply_run(state: StateVector, run: dict[int, np.ndarray], control) -> State
     lo, hi = min(run), max(run)
     block = functools.reduce(_kron, [run.get(q, _EYE[2]) for q in range(lo, hi + 1)])
     if control is not None:
-        return StateVector(_apply_controlled(state.amplitudes, *control, lo, block))
+        return StateVector(_apply_controlled(state.amplitudes, *control, lo, block, unitary=True))
     v = _target_view(state.amplitudes, lo, hi - lo + 1)
     return StateVector(_apply_block(v, block).reshape(-1))
 

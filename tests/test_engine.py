@@ -192,6 +192,21 @@ def test_controlled_kernel_matches_einsum_reference(n, c):
                         assert_rel_close(got, einsum_reference(amps, n, [c, t], m, mode=mode))
 
 
+def test_controlled_invertible_gate_leaves_a_large_idle_half_alone():
+    """A global-mode controlled gain of 1e10 on a register whose idle half
+    holds 1e300: the result is finite and no product overflows (Tier-1 turns
+    an overflow warning into an error), at every control/target pair."""
+    n = 3
+    m = controlled_matrix(1, np.diag([1e10, 1e10]))
+    for c in range(n):
+        for t in (q for q in range(n) if q != c):
+            halves = np.full((2 ** c, 2, 2 ** (n - c - 1)), 1e300, dtype=complex)
+            halves[:, 1] = 1e290
+            amps = halves.reshape(-1)
+            got = apply_gate(StateVector(amps), Gate(m), [c, t], "global").amplitudes
+            assert_rel_close(got, einsum_reference(amps, n, [c, t], m))
+
+
 def test_controlled_gates_are_classified_once():
     """CNOT and cH on either bit are controlled on targets[0]; every other
     4x4 matrix stays general.  All of them match the kron oracle."""

@@ -253,7 +253,8 @@ def test_local_mode_controlled_gate_matches_reference():
 
 def run_steps(circuit, state):
     """Every step on its own through apply_gate or postselect: the reference
-    for run_circuit, which fuses runs of one-target unitary steps."""
+    for run_circuit, which fuses runs of one-target and of controlled unitary
+    steps."""
     for step in circuit.steps:
         if isinstance(step, PostselectStep):
             state = postselect(state, step.qubit, step.bit)

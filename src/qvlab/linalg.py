@@ -16,6 +16,10 @@ ORTHONORMAL_TOL = 1e-10
 GRAM_SCHMIDT_SKIP_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-9
 
+# exp2(x) is exactly 0.0 for every x below this: 2^-1075 is half the
+# smallest subnormal, and rounding takes anything under it to 0.
+_EXP2_ZERO_BELOW = -1075.0
+
 
 class NonPositiveP(ValueError):
     """p-norms require p > 0 (or the explicit infinity flag)."""
@@ -86,6 +90,14 @@ def p_distribution(amps, p: float, log2_gain=None) -> np.ndarray:
     per-entry log2 weight multipliers (postselection gadgets); the exponents
     are then shifted so that their maximum is 0.  p is not re-checked here:
     callers validate it at their boundary.
+
+    exp2 rounds every exponent below -1075 (zero amplitudes' -inf included)
+    to exactly 0.0, but through a slow underflow path: about 15 ns an entry
+    against under 1 ns for numpy 2.4 on an x86-64 VM.  When the smallest
+    exponent is below that cut, those entries are written as 0 without it,
+    so the output bits are the same.  Exponents in the subnormal band
+    [-1075, -1022) still go through exp2 and keep its slow path (about
+    100 ns an entry there): their results are nonzero and must stay exact.
     """
     w = np.abs(amps)
     w /= w.max()
@@ -95,7 +107,13 @@ def p_distribution(amps, p: float, log2_gain=None) -> np.ndarray:
     if log2_gain is not None:
         w += log2_gain
         w -= w.max()
-    np.exp2(w, out=w)
+    if w.min() < _EXP2_ZERO_BELOW:
+        dead = w < _EXP2_ZERO_BELOW
+        np.putmask(w, dead, 0.0)   # exp2(0) takes the fast path
+        np.exp2(w, out=w)
+        np.putmask(w, dead, 0.0)
+    else:
+        np.exp2(w, out=w)
     w /= w.sum()
     return w
 

@@ -23,6 +23,7 @@ majority decision on unitary gates plus the p-norm rule alone.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,6 +95,20 @@ def _conditioned_hadamard(bit: int) -> Gate:
     block = np.eye(4, dtype=np.complex128)
     block[2 * bit:2 * bit + 2, 2 * bit:2 * bit + 2] = hadamard().matrix
     return Gate(block, name="cH")
+
+
+@functools.cache
+def _carrier_tail() -> np.ndarray:
+    """H on the carrier after cH from carrier to output, as a read-only 4x4
+    on the (output, carrier) pair with the output as the high bit: the
+    angle-independent tail of the decision's mixing step.  Built on first
+    use, not at import, which would start the BLAS library in every process
+    that imports the package."""
+    swap = [0, 2, 1, 3]
+    tail = (np.kron(np.eye(2), hadamard().matrix)
+            @ _conditioned_hadamard(1).matrix[np.ix_(swap, swap)])
+    tail.flags.writeable = False
+    return tail
 
 
 def _tabulated_state(f: BooleanFunction) -> StateVector:
@@ -293,15 +308,26 @@ class GadgetReport:
                 "measured_factor": self.measured_factor}
 
 
+def _ancilla_count(m) -> int:
+    """m as an int; ValueError unless it is a nonnegative whole number."""
+    if not (m >= 0 and float(m).is_integer()):
+        raise ValueError(f"ancilla count must be a nonnegative integer, got {m}")
+    return int(m)
+
+
 def gadget_factor(p: float, m: int) -> float:
     """p-norm weight multiplier on the conditioned branch: 2^(m(1-p/2))."""
-    return 2.0 ** (m * (1.0 - p / 2.0))
+    p = MeasurementRule(p).p
+    return 2.0 ** (_ancilla_count(m) * (1.0 - p / 2.0))
 
 
 def gadget_size(p: float, n: int) -> int:
     """Ancilla count ceil(10 p n / |2 - p|) used by the gadgeted decision."""
     if p == 2:
         raise PEqualsTwo("no ancilla count makes p = 2 postselect")
+    p = MeasurementRule(p).p
+    if n < 0:
+        raise ValueError(f"input count must be nonnegative, got {n}")
     return math.ceil(10.0 * p * n / abs(2.0 - p))
 
 
@@ -339,8 +365,7 @@ def postselection_gadget(state: StateVector, qubit: int, p: float, m: int,
     if p == 2:
         raise PEqualsTwo("the gadget is inert at p = 2")
     MeasurementRule(p)   # finite and positive, else NonPositiveP
-    if m < 0:
-        raise ValueError("ancilla count must be nonnegative")
+    m = _ancilla_count(m)
     n = state.num_qubits
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for a {n}-qubit state")
@@ -381,41 +406,52 @@ def postbqp_decide_pnorm(f: BooleanFunction, p: float,
     relative suppression of unwanted branches is 2^(-m |1-p/2|) per gadget,
     recorded in the details).  The verdict matches ``postbqp_decide`` for the
     padded inputs this decision is defined on.
+
+    The three gates that depend on the mixing angle (the mix on the carrier,
+    cH from carrier to output, H on the carrier) act on the (output,
+    carrier) pair alone, and the carrier starts in |0>.  So every angle's
+    state is the prefix's (inputs, output) amplitudes times the carrier-0
+    columns of that pair's 4x4 product, and all 2n+1 angles are one stacked
+    matmul.  The gadgets' weight gains are still applied at measurement, as
+    log2 gains in the p-norm distribution of each angle's state.
     """
     if p == 2:
         raise PEqualsTwo("at p = 2 the gadgets are inert and the decision collapses")
     p = MeasurementRule(p).p
     _check_padding(f)
     n = f.num_inputs
-    m = gadget_size(p, n) if ancillas_per_gadget is None else int(ancillas_per_gadget)
-    h = hadamard()
-    ctrl_h = _conditioned_hadamard(1)
+    m = gadget_size(p, n) if ancillas_per_gadget is None else _ancilla_count(ancillas_per_gadget)
 
     # Qubits 0..n-1 are the inputs, n the output, n+1 the mixing carrier.
-    # The i-independent prefix: tabulated state, input Hadamards, carrier |0>.
-    prefix = StateVector(np.kron(_after_input_hadamards(f).amplitudes, [1.0, 0.0]))
+    # The i-independent prefix (tabulated state, input Hadamards) as
+    # (inputs, output) rows; the carrier is |0> until the mix.
+    prefix = _after_input_hadamards(f).amplitudes.reshape(2 ** n, 2)
     # Each gadget multiplies the p-weight of its conditioned branch by
     # 2^(m(1-p/2)).  Its ancillas and its qubit are never gated again, so the
     # factors apply exactly at measurement, as log2 gains per basis state:
     # one per input qubit on bit 0 and one on the output qubit on bit 1, the
     # condition flipped to the other bit for p > 2.
-    idx = np.arange(prefix.amplitudes.size)
+    idx = np.arange(2 ** (n + 2))
     flip = int(p > 2)
     gadgets_hit = (((idx >> 1) & 1) == 1 - flip).astype(np.int64)
     for q in range(n):
         gadgets_hit += ((idx >> (n + 1 - q)) & 1) == flip
     log2_gain = m * (1.0 - p / 2.0) * gadgets_hit
 
+    # Rotation i mixes the carrier by beta/alpha = 2^i; on the (output,
+    # carrier) pair it is I (x) mix_i, one (2n+1, 4, 4) stack.
+    i_values = np.arange(-n, n + 1)
+    r = np.ldexp(1.0, i_values)
+    alpha = 1.0 / np.sqrt(1.0 + r * r)
+    beta = r * alpha
+    rot = np.stack([alpha, -beta, beta, alpha], axis=-1).reshape(-1, 2, 2)
+    carrier_zero = (_carrier_tail() @ np.kron(np.eye(2), rot))[:, :, 0::2]
+    states = np.matmul(prefix, carrier_zero.transpose(0, 2, 1))   # (2n+1, 2^n, 4)
+
     per_i = []
-    for i in range(-n, n + 1):
-        r = 2.0 ** i
-        alpha = 1.0 / math.sqrt(1.0 + r * r)
-        beta = r * alpha
-        state = apply_gate(prefix, Gate([[alpha, -beta], [beta, alpha]], name="mix"), [n + 1])
-        state = apply_gate(state, ctrl_h, [n + 1, n])
-        state = apply_gate(state, h, [n + 1])
-        dist = p_distribution(state.amplitudes, p, log2_gain)
-        per_i.append((i, float(dist[0::2].sum())))   # qubit n+1 == 0 after H
+    for i, state in zip(i_values, states):
+        dist = p_distribution(state.reshape(-1), p, log2_gain)
+        per_i.append((int(i), float(dist[0::2].sum())))   # carrier == 0 after H
 
     hit = any(v >= SAMPLED_THRESHOLD for _, v in per_i)
     verdict = "LessThanHalf" if hit else "GreaterThanHalf"

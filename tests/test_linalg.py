@@ -10,8 +10,8 @@ from qvlab.linalg import (DecompositionError, NonPositiveP, NotOrthogonal,
                           NotOrthonormal, OrthogonalBlock, blocks_det,
                           blocks_to_matrix, complete_to_unitary,
                           haar_orthogonal, haar_special_orthogonal,
-                          is_real_orthogonal, is_unitary, p_norm,
-                          rotation_block_decompose)
+                          is_real_orthogonal, is_unitary, p_distribution,
+                          p_norm, rotation_block_decompose)
 
 RNG = np.random.default_rng(20260816)
 
@@ -50,6 +50,45 @@ def test_p_norm_rejects_nonpositive_p(bad):
 def test_p_norm_homogeneous(scale, p):
     v = np.array([0.3, -1.2, 0.85, 2.0])
     assert p_norm(scale * v, p) == pytest.approx(scale * p_norm(v, p), rel=1e-10)
+
+
+def _p_distribution_unskipped(amps, p, log2_gain=None):
+    """The p-weight formula with exp2 applied to every exponent."""
+    w = np.abs(amps)
+    w /= w.max()
+    with np.errstate(divide="ignore"):
+        np.log2(w, out=w)
+    w *= p
+    if log2_gain is not None:
+        w += log2_gain
+        w -= w.max()
+    np.exp2(w, out=w)
+    w /= w.sum()
+    return w
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, 64.0, 1024.0, 1100.0])
+def test_p_distribution_underflow_skip_is_exact(p):
+    rng = np.random.default_rng(11)
+    # Exponents around the exp2 cut at -1075, in the subnormal band
+    # [-1075, -1022) and well above it, placed exactly through the gain.
+    cut = -1075.0
+    edges = [0.0, -1.0, -1021.5, -1022.0, -1050.25, -1074.5, np.nextafter(cut, 0.0),
+             cut, np.nextafter(cut, -np.inf), -1075.5, -1100.0, -5000.0]
+    gain = np.concatenate([edges, rng.uniform(-3000.0, 0.0, 500)])
+    ones = np.ones(gain.size, dtype=complex)
+    ones[[3, 40, 41]] = 0.0                       # exponent -inf
+    # Amplitude moduli 2^(e/p), so p log2|a| spans the same range unaided.
+    e = rng.uniform(-3000.0, 0.0, (2, 512))
+    scaled = np.exp2(e / p) * np.exp(1j * rng.uniform(0, 2 * np.pi, e.shape))
+    scaled[0, :7] = 0.0
+    cases = [(ones, gain), (scaled[0], None), (scaled, None), (scaled, gain[:512]),
+             (np.stack([ones, ones[::-1]]), gain)]
+    for amps, g in cases:
+        want = _p_distribution_unskipped(amps, p, g)
+        got = p_distribution(amps, p, g)
+        assert got.shape == amps.shape
+        assert np.array_equal(got, want), (p, amps.shape, g is None)
 
 
 def test_complete_to_unitary_single_column():

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from qvlab import postbqp
 from qvlab.engine import (Gate, MeasurementRule, StateVector, apply_gate,
                           hadamard, marginal_distribution)
-from qvlab.linalg import NonPositiveP, PEqualsTwo
+from qvlab.linalg import NonPositiveP, PEqualsTwo, p_distribution
 from qvlab.postbqp import (EXACT_THRESHOLD, OVERLAP_HIGH_S, OVERLAP_LOW_S,
                            SAMPLED_THRESHOLD, BooleanFunction,
                            PaddingViolation,
@@ -15,6 +16,9 @@ from qvlab.postbqp import (EXACT_THRESHOLD, OVERLAP_HIGH_S, OVERLAP_LOW_S,
                            plus_overlap, plus_overlap_simulated,
                            postbqp_decide, postbqp_decide_pnorm,
                            postselection_gadget, prepare_count_state)
+
+# the p values the majority decision is run at: both sides of 2, and near it
+P_DECIDE = (1.0, 1.9, 1.99, 3.0, 4.0, 6.0)
 
 
 def table_with_count(n, s, seed=0):
@@ -173,6 +177,18 @@ def test_gadget_factor_and_size():
     assert gadget_size(4.0, 3) == 60
     with pytest.raises(PEqualsTwo):
         gadget_size(2.0, 3)
+    for bad in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(NonPositiveP):
+            gadget_factor(bad, 3)
+        with pytest.raises(NonPositiveP):
+            gadget_size(bad, 3)
+    with pytest.raises(ValueError, match="ancilla count"):
+        gadget_factor(1.0, -3)
+    with pytest.raises(ValueError, match="ancilla count"):
+        gadget_factor(1.0, 2.5)
+    with pytest.raises(ValueError, match="input count"):
+        gadget_size(1.0, -3)
+    assert gadget_factor(3.0, 0) == 1.0 and gadget_size(3.0, 0) == 0
 
 
 def test_gadget_worked_example():
@@ -279,7 +295,7 @@ def test_decide_pnorm_matches_exact_oracle():
         for s in {1, 2 ** (n - 1) - 1, 2 ** (n - 1) + 1, 2 ** n - 1}:
             f = table_with_count(n, s)
             want = postbqp_decide(f).verdict
-            for p in (1.0, 1.9, 1.99, 3.0, 4.0, 6.0):
+            for p in P_DECIDE:
                 decision = postbqp_decide_pnorm(f, p)
                 assert decision.verdict == want, (n, s, p)
                 assert all(math.isfinite(v) for _, v in decision.per_i), (n, s, p)
@@ -294,6 +310,64 @@ def test_decide_pnorm_rejections():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(NonPositiveP):
             postbqp_decide_pnorm(f, bad)
+    # m = -5 once gave GreaterThanHalf (exact: LessThanHalf) and 2.7 became 2
+    f3 = table_with_count(3, 1)
+    for bad_m in (-5, -1, 2.7, math.nan):
+        with pytest.raises(ValueError, match="ancilla count must be a nonnegative integer"):
+            postbqp_decide_pnorm(f3, 1.0, ancillas_per_gadget=bad_m)
+    assert postbqp_decide_pnorm(f3, 1.0, ancillas_per_gadget=0).details["ancillas_per_gadget"] == 0
+    assert postbqp_decide_pnorm(f3, 1.0, ancillas_per_gadget=3.0).details["ancillas_per_gadget"] == 3
+
+
+def _decide_pnorm_per_angle(f, p):
+    """postbqp_decide_pnorm's verdict and per_i, one angle at a time: a mix
+    Gate, then apply_gate for the mix, cH and H, then p_distribution."""
+    n = f.num_inputs
+    m = gadget_size(p, n)
+    h = hadamard()
+    ctrl_h = Gate(np.block([[np.eye(2), np.zeros((2, 2))],
+                            [np.zeros((2, 2)), h.matrix]]), name="cH")
+    amps = np.zeros(2 ** (n + 2), dtype=complex)
+    amps[(np.arange(2 ** n) << 2) | (f.table.astype(np.int64) << 1)] = 2.0 ** (-n / 2)
+    state = StateVector(amps)
+    for q in range(n):
+        state = apply_gate(state, h, [q])
+    idx = np.arange(2 ** (n + 2))
+    flip = int(p > 2)
+    gadgets_hit = (((idx >> 1) & 1) == 1 - flip).astype(np.int64)
+    for q in range(n):
+        gadgets_hit += ((idx >> (n + 1 - q)) & 1) == flip
+    log2_gain = m * (1.0 - p / 2.0) * gadgets_hit
+    per_i = []
+    for i in range(-n, n + 1):
+        r = 2.0 ** i
+        alpha = 1.0 / math.sqrt(1.0 + r * r)
+        beta = r * alpha
+        mixed = apply_gate(state, Gate([[alpha, -beta], [beta, alpha]], name="mix"), [n + 1])
+        mixed = apply_gate(mixed, ctrl_h, [n + 1, n])
+        mixed = apply_gate(mixed, h, [n + 1])
+        per_i.append((i, float(p_distribution(mixed.amplitudes, p, log2_gain)[0::2].sum())))
+    hit = any(v >= SAMPLED_THRESHOLD for _, v in per_i)
+    return ("LessThanHalf" if hit else "GreaterThanHalf"), per_i
+
+
+def test_decide_pnorm_stacked_angles_match_per_angle_gates(monkeypatch):
+    def no_gate(*args, **kwargs):
+        raise AssertionError("the decision applied a gate to the register")
+
+    for n in range(3, 11):
+        for s in (2 ** (n - 1) - 1, 2 ** (n - 1) + 1):
+            f = table_with_count(n, s, seed=n)
+            for p in P_DECIDE + (0.5, 1100.0):
+                want_verdict, want = _decide_pnorm_per_angle(f, p)
+                with monkeypatch.context() as patch:
+                    patch.setattr(postbqp, "apply_gate", no_gate)
+                    decision = postbqp_decide_pnorm(f, p)
+                assert decision.verdict == want_verdict, (n, s, p)
+                assert [i for i, _ in decision.per_i] == [i for i, _ in want]
+                for (i, v), (_, w) in zip(decision.per_i, want):
+                    assert type(i) is int and type(v) is float
+                    assert abs(v - w) <= 1e-12, (n, s, p, i)
 
 
 def test_decide_pnorm_weight_tracking_matches_real_ancillas():

@@ -106,10 +106,10 @@ def _cmd_check_norm(args) -> int:
     matrix = _load_matrix(args.matrix)
     mode = args.mode
     if mode == "auto":
-        even_ok = float(args.p).is_integer() and int(args.p) in (2, 4, 6, 8)
-        mode = "formal" if even_ok and matrix.shape[0] <= 6 and not args.nonnegative else "numeric"
+        formal = not args.nonnegative and normlaws.formal_even_applies(matrix, args.p, args.tol)
+        mode = "formal" if formal else "numeric"
     if mode == "formal":
-        verdict = normlaws.preserves_pnorm_formal_even(matrix, int(args.p), tol=args.tol)
+        verdict = normlaws.preserves_pnorm_formal_even(matrix, args.p, tol=args.tol)
     else:
         verdict = normlaws.preserves_pnorm_numeric(
             matrix, args.p, trials=args.trials, seed=args.seed,
@@ -283,19 +283,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "measurement rules and their consequences.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, p_default=2.0, trials_default=0):
-        sp.add_argument("--p", type=float, default=p_default,
-                        help="measurement exponent")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--trials", type=int, default=trials_default)
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+    def shared(sp, *names, p=2.0, trials=0):
+        flags = {"p": dict(type=float, default=p, help="measurement exponent"),
+                 "seed": dict(type=int, default=0),
+                 "trials": dict(type=int, default=trials),
+                 "tol": dict(type=float, default=1e-10),
+                 "format": dict(choices=("json", "csv"), default="json")}
+        for name in names:
+            sp.add_argument(f"--{name}", **flags[name])
         sp.add_argument("--out", default=None, help="write report to a file")
 
     sp = sub.add_parser("simulate", help="run a circuit file, dump state and "
                                          "p-norm distribution")
     sp.add_argument("--circuit", required=True)
-    common(sp)
+    shared(sp, "p", "seed", "trials", "format")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("check-norm", help="does a matrix preserve the p-norm?")
@@ -306,18 +307,18 @@ def build_parser() -> argparse.ArgumentParser:
                     default="modulus")
     sp.add_argument("--nonnegative", action="store_true",
                     help="restrict test vectors to nonnegative entries")
-    common(sp, p_default=4.0, trials_default=64)
+    shared(sp, "p", "seed", "trials", "tol", p=4.0, trials=64)
     sp.set_defaults(func=_cmd_check_norm)
 
     sp = sub.add_parser("postbqp", help="majority decision from a truth table")
     sp.add_argument("--truth-table", required=True)
     sp.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    common(sp)
-    sp.set_defaults(func=_cmd_postbqp, trials=None)
+    shared(sp, "seed", "trials", trials=None)
+    sp.set_defaults(func=_cmd_postbqp)
 
     sp = sub.add_parser("or-solve", help="decide OR with one non-unitary gate")
     sp.add_argument("--truth-table", required=True)
-    common(sp)
+    shared(sp)
     sp.set_defaults(func=_cmd_or_solve)
 
     sp = sub.add_parser("gadget", help="postselection gadget weight certificate")
@@ -327,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", default=None,
                     help="JSON amplitudes file (default: the one-qubit "
                          "uniform superposition)")
-    common(sp, p_default=1.0)
+    shared(sp, "p", "tol", p=1.0)
     sp.set_defaults(func=_cmd_gadget)
 
     sp = sub.add_parser("discriminate", help="nearly-parallel state "
                                              "discrimination error")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--j", type=int, default=0, help="true state index")
-    common(sp, p_default=4.0)
+    shared(sp, "p", "seed", "trials", "tol", "format", p=4.0)
     sp.set_defaults(func=_cmd_discriminate)
 
     sp = sub.add_parser("signal", help="superluminal signalling scenarios")
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=float, default=1e-3)
     sp.add_argument("--d", type=int, default=4)
     sp.add_argument("--pairs", type=int, default=None)
-    common(sp, p_default=4.0)
+    shared(sp, "p", "seed", "trials", "tol", "format", p=4.0)
     sp.set_defaults(func=_cmd_signal)
 
     sp = sub.add_parser("sqrt", help="square/k-th roots in the allowed group")
@@ -352,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="auto")
     sp.add_argument("--embed", action="store_true",
                     help="root one dimension up (always exists)")
-    common(sp)
+    shared(sp)
     sp.set_defaults(func=_cmd_sqrt)
 
     sp = sub.add_parser("island-scan", help="random search for non-diagonal "
@@ -360,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--matrices", type=int, default=1000)
     sp.add_argument("--nonnegative", action="store_true")
-    common(sp, p_default=4.0, trials_default=24)
+    shared(sp, "p", "seed", "trials", "tol", p=4.0, trials=24)
     sp.set_defaults(func=_cmd_island_scan)
     return parser
 

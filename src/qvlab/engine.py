@@ -27,17 +27,18 @@ GEMM, lost end to end: in six alternating runs of the circuits benchmark
 (seed 1) it read 8.1-10.1 against 9.4-10.7 ops/s at 16, lower in four of
 six, with median p50 50 against 48 ms and peak RSS 150 against 139 MB in
 every run.  From b = 16 on stacked matmul is as fast as moving the target
-axis or faster.  Multi-target gates that are not controlled, and every
-multi-target gate in local mode, move their target axes to the front
+axis or faster.  Multi-target gates that are not controlled unitaries, and
+every multi-target gate in local mode, move their target axes to the front
 (``_target_columns``), multiply, and move them back: two copies of the
 register, 11-15 ms at n = 20 for a one-target gate against 2.5-5 ms on the
 view.
 
 Controlled gates.  A two-target gate whose matrix is block-diag(I, U) or
 block-diag(U, I) is U on targets[1] where the control qubit c = targets[0]
-has bit 1 or 0 (``Gate.controlled``, decided once).  In unitary and global
-mode ``_apply_controlled`` applies it, or a fused block of such gates, with
-no moveaxis, by one of two products chosen from the layout:
+has bit 1 or 0 (``Gate.controlled``, decided once).  If it is unitary, in
+unitary and global mode, ``_apply_controlled`` applies it, or a fused block
+of such gates, with no moveaxis, by one of two products chosen from the
+layout:
 
 * the control slice, when the window lies below the control (c < lo,
   "below" meaning less significant, as b counts the amplitudes below):
@@ -53,11 +54,10 @@ no moveaxis, by one of two products chosen from the layout:
 
 The full pass throws away its products on the idle half.  A unitary block
 grows no amplitude by more than 2^(k/2), so those can overflow only where
-the idle half holds amplitudes within that factor of the largest double;
-an invertible gate in global mode can grow them by its whole gain, so it
-always takes the slice, also where the window lies above the control: there
-the active half is (2^lo, 2^(c-lo-k), 2^k, 2^(n-c-1)) after one swap of
-axes, and stacked matmul runs on it.
+the idle half holds amplitudes within that factor of the largest double.
+An invertible controlled gate could grow them by its whole gain, so it
+takes the general path through ``_target_columns``, where the identity
+block keeps the idle half out of every product.
 
 The slice is taken for stacked matmul, which makes half the products of
 the full pass, and for GEMMs of at least 512 amplitudes (2^(n-c-1)); fewer
@@ -416,32 +416,23 @@ def _apply_block(v: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) ->
     return np.matmul(m, v, out=out)
 
 
-def _apply_controlled(amps: np.ndarray, c: int, bit: int, lo: int, m: np.ndarray, *,
-                      unitary: bool) -> np.ndarray:
-    """``m`` (2^k x 2^k) on qubits lo..lo+k-1 of the half of the register
-    where qubit c == bit, the identity on the other half.  If the window
-    covers c, ``m`` must be the identity on it, as a fused block is on a
-    qubit that no step targets.  A new array; the layout and whether ``m``
-    is unitary pick the product (module docstring)."""
+def _apply_controlled(amps: np.ndarray, c: int, bit: int, lo: int, m: np.ndarray) -> np.ndarray:
+    """Unitary ``m`` (2^k x 2^k) on qubits lo..lo+k-1 of the half of the
+    register where qubit c == bit, the identity on the other half.  If the
+    window covers c, ``m`` must be the identity on it, as a fused block is
+    on a qubit that no step targets.  A new array; the layout picks the
+    product (module docstring)."""
     d = m.shape[0]
     b = amps.size // (2 ** lo * d)
     halves = amps.reshape(2 ** c, 2, -1)   # axis 1 is qubit c
-    # the slice for stacked matmul, for GEMMs of 512 amplitudes or more, and
-    # for a non-unitary m, whose products on the idle half could overflow
-    if not unitary or c < lo and (d * b > GEMM_MAX or halves.shape[2] >= 512):
+    if c < lo and (d * b > GEMM_MAX or halves.shape[2] >= 512):
         # on the control slice: copy the idle half, multiply the active half
         out = np.empty_like(amps)
         out_halves = out.reshape(halves.shape)
         out_halves[:, 1 - bit] = halves[:, 1 - bit]
-        if c < lo:
-            slice_shape = (2 ** c, -1, d, b)
-            _apply_block(halves[:, bit].reshape(slice_shape), m,
-                         out=out_halves[:, bit].reshape(slice_shape))
-        else:   # rows cut by the control bit: (2^lo, 2^(c-lo-k), 2^k, 2^(n-c-1))
-            split = (2 ** lo, d, -1, 2, halves.shape[2])
-            active = (slice(None), slice(None), slice(None), bit)
-            np.matmul(m, amps.reshape(split)[active].swapaxes(1, 2),
-                      out=out.reshape(split)[active].swapaxes(1, 2))
+        slice_shape = (2 ** c, -1, d, b)
+        _apply_block(halves[:, bit].reshape(slice_shape), m,
+                     out=out_halves[:, bit].reshape(slice_shape))
         return out
     # one pass over the whole register, then the idle half put back
     out = _apply_block(_target_view(amps, lo, d.bit_length() - 1), m).reshape(-1)
@@ -470,10 +461,10 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int],
         if mode is NormalizationMode.LOCAL:
             new = _rescale_branches(v, new, axis=1)
         return StateVector(new.reshape(-1))
-    if gate.controlled is not None and mode is not NormalizationMode.LOCAL:
+    if (gate.controlled is not None and gate.kind == "unitary"
+            and mode is not NormalizationMode.LOCAL):
         bit, u = gate.controlled
-        return StateVector(_apply_controlled(state.amplitudes, targets[0], bit, targets[1], u,
-                                             unitary=gate.kind == "unitary"))
+        return StateVector(_apply_controlled(state.amplitudes, targets[0], bit, targets[1], u))
 
     cols, shape = _target_columns(state, targets)
     new_cols = m @ cols
@@ -747,7 +738,7 @@ def _apply_run(state: StateVector, run: dict[int, np.ndarray], control) -> State
     lo, hi = min(run), max(run)
     block = functools.reduce(_kron, [run.get(q, _EYE[2]) for q in range(lo, hi + 1)])
     if control is not None:
-        return StateVector(_apply_controlled(state.amplitudes, *control, lo, block, unitary=True))
+        return StateVector(_apply_controlled(state.amplitudes, *control, lo, block))
     v = _target_view(state.amplitudes, lo, hi - lo + 1)
     return StateVector(_apply_block(v, block).reshape(-1))
 

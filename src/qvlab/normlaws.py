@@ -34,7 +34,8 @@ FORMAL_TOL = 1e-12
 
 
 class UnsupportedP(ValueError):
-    """The formal expansion is implemented for p in {2, 4, 6, 8} only."""
+    """Outside the formal expansion's domain (``formal_even_applies``), or a
+    p that no check here takes."""
 
 
 @dataclass
@@ -149,6 +150,13 @@ def _multinomial(p: int, alpha: Sequence[int]) -> int:
     return out
 
 
+def formal_even_applies(a, p: float, tol: float = FORMAL_TOL) -> bool:
+    """True iff ``preserves_pnorm_formal_even`` takes (a, p): p in
+    {2, 4, 6, 8}, at most 6 rows, and every imaginary part within ``tol``."""
+    real = not (isinstance(a, np.ndarray) and np.iscomplexobj(a)) or np.abs(a.imag).max() <= tol
+    return p in (2, 4, 6, 8) and len(a) <= 6 and real
+
+
 def preserves_pnorm_formal_even(a, p: int, tol: float = FORMAL_TOL) -> PreservationVerdict:
     """Formal-polynomial preservation check for real matrices and even p.
 
@@ -158,21 +166,18 @@ def preserves_pnorm_formal_even(a, p: int, tol: float = FORMAL_TOL) -> Preservat
     sum_j a_jk^(p-2) a_jl^2 == delta_kl are evaluated and reported in
     ``details`` as well (they are a subset of the coefficient equations).
 
-    Raises UnsupportedP for p not in {2, 4, 6, 8} and rejects n > 6.
+    Raises UnsupportedP outside ``formal_even_applies``.
     """
-    if p not in (2, 4, 6, 8):
-        raise UnsupportedP(f"formal expansion supports p in {{2,4,6,8}}, got {p}")
+    if not formal_even_applies(a, p, tol):
+        raise UnsupportedP(f"formal expansion takes p in {{2,4,6,8}}, n <= 6 and real "
+                           f"matrices, got p = {p}, n = {len(a)}; use the numeric check")
+    p = int(p)
     if isinstance(a, np.ndarray) and np.iscomplexobj(a):
-        if np.abs(a.imag).max() > tol:
-            raise UnsupportedP("formal expansion handles real matrices; use the "
-                               "numeric check with the phase sweep for complex ones")
         a = a.real
     rows = [list(r) for r in (a.tolist() if isinstance(a, np.ndarray) else a)]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    if n > 6:
-        raise ValueError("formal expansion supports n <= 6")
     exact = all(isinstance(v, (int, Fraction)) for r in rows for v in r)
     if not exact:
         rows = [[float(v) for v in r] for r in rows]

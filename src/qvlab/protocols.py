@@ -258,7 +258,10 @@ def option_i_pairs_needed(tvd: float, target_error: float = 1e-3) -> int:
     exp(-N tvd^2 / 2) <= target."""
     if tvd <= 0:
         raise ValueError("tvd must be positive")
-    return math.ceil(2.0 * math.log(1.0 / target_error) / tvd ** 2)
+    pairs = 2.0 * math.log(1.0 / target_error) / tvd ** 2 if tvd ** 2 else math.inf
+    if not math.isfinite(pairs):
+        raise ValueError(f"no finite pair count reaches the target error at tvd = {tvd!r}")
+    return math.ceil(pairs)
 
 
 def signalling_option_i(p: float, d: int = 4, pairs: int | None = None,

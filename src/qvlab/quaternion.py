@@ -35,10 +35,10 @@ class Quaternion:
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def norm(self) -> float:
-        return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
+        return math.hypot(self.w, self.x, self.y, self.z)
 
     def vector_norm(self) -> float:
-        return math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
+        return math.hypot(self.x, self.y, self.z)
 
     def isclose(self, other: "Quaternion", tol: float = QUATERNION_TOL) -> bool:
         return (self - other).norm() <= tol

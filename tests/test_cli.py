@@ -1,9 +1,12 @@
+import argparse
 import csv
 import dataclasses
 import io
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,7 +18,7 @@ from scipy.stats import unitary_group
 
 import qvlab
 from qvlab import postbqp
-from qvlab.cli import main
+from qvlab.cli import build_parser, main
 from qvlab.postbqp import EXACT_THRESHOLD
 
 R = 1.0 / math.sqrt(2.0)
@@ -59,6 +62,8 @@ def files(tmp_path):
             [math.sin(2 * math.pi / 3), math.cos(2 * math.pi / 3)]]}),
         "skew": dump("skew.json", {"matrix": [[1, 1], [0, 1]]}),
         "upper_i": dump("upper_i.json", {"matrix": [[1, [0, 1]], [0, 1]]}),
+        "phased_perm": dump("pp.json", {"matrix": [
+            [0, [0.6, 0.8], 0], [0, 0, [0, -1]], [[-1, 0], 0, 0]]}),
         "f": dump("f.txt", "3\n01000001\n"),
         "g": dump("g.txt", "3\n0xbd\n"),
         "allzero": dump("z.txt", "2\n0000\n"),
@@ -95,7 +100,7 @@ def test_simulate_bell(files, capsys):
     assert data["pass"] is True
     assert np.allclose(data["report"]["distribution"], [0.5, 0, 0, 0.5], atol=1e-12)
     assert data["report"]["amplitudes"][0] == pytest.approx([R, 0.0])
-    assert set(data["config"]) == {"circuit", "p", "seed", "tol", "trials"}
+    assert set(data["config"]) == {"circuit", "p", "seed", "trials"}
 
 
 @pytest.mark.parametrize("circuit", ["bell", "haar_layers"])
@@ -179,6 +184,17 @@ def test_check_norm_p2_and_numeric_mode(files, capsys):
                         "--mode", "numeric", "--p", "3"], capsys)
     assert code == 1
     assert envelope(out)["report"]["mode"] == "numeric"
+
+
+def test_check_norm_auto_leaves_the_formal_domain_to_normlaws(files, capsys):
+    # complex entries are outside the formal expansion: auto takes the numeric check
+    code, out, _ = run(["check-norm", "--matrix", files["phased_perm"], "--p", "4"], capsys)
+    assert code == 0
+    assert envelope(out)["report"]["mode"] == "numeric"
+    # an explicit formal check at a p it does not take is refused, not rounded to p = 4
+    code, out, err = run(["check-norm", "--matrix", files["signed_perm"], "--p", "4.5",
+                          "--mode", "formal"], capsys)
+    assert code == 2 and out == "" and "p = 4.5" in err
 
 
 def test_postbqp_exact(files, capsys):
@@ -438,6 +454,65 @@ def test_island_scan(files, capsys):
     code, _, _ = run(["island-scan", "--n", "2", "--p", "1", "--matrices", "60",
                       "--nonnegative"], capsys)
     assert code == 0
+
+
+# the shared flags each subcommand reads, and a value for its required flags
+READS = {
+    "simulate": ("p seed trials format", ["--circuit", "c.json"]),
+    "check-norm": ("p seed trials tol", ["--matrix", "m.json"]),
+    "postbqp": ("seed trials", ["--truth-table", "f.txt"]),
+    "or-solve": ("", ["--truth-table", "f.txt"]),
+    "gadget": ("p tol", ["--m", "2"]),
+    "discriminate": ("p seed trials tol format", ["--d", "3"]),
+    "signal": ("p seed trials tol format", ["--scenario", "ii"]),
+    "sqrt": ("", ["--matrix", "m.json"]),
+    "island-scan": ("p seed trials tol", ["--n", "2"]),
+}
+UNREAD = [(cmd, flag) for cmd, (reads, _) in READS.items()
+          for flag in ("p", "seed", "trials", "tol", "format") if flag not in reads.split()]
+
+
+@pytest.mark.parametrize("cmd, flag", UNREAD, ids=lambda v: v)
+def test_subcommand_rejects_a_shared_flag_it_does_not_read(capsys, cmd, flag):
+    value = "csv" if flag == "format" else "1"
+    with pytest.raises(SystemExit) as info:
+        main([cmd, *READS[cmd][1], f"--{flag}", value])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+def test_config_echoes_only_what_was_read(files, capsys):
+    code, out, _ = run(["or-solve", "--truth-table", files["f"]], capsys)
+    assert code == 0
+    data = envelope(out)
+    assert data["config"] == {"truth_table": files["f"]}
+    assert data["seed"] is None
+
+
+def _readme_cli_section():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_examples_parse():
+    block = _readme_cli_section().split("```", 2)[1]
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("qvlab ")]
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv)   # an undeclared flag exits 2 here
+    assert {argv[0] for argv in examples} == set(READS)
+
+
+def test_readme_cli_flag_table_matches_the_parser():
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    rows = [re.findall(r"`([^`]+)`", line) for line in _readme_cli_section().splitlines()
+            if line.startswith("| `")]
+    documented = {row[0]: set(row[1:]) for row in rows}
+    declared = {cmd: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help", "--out"}
+                for cmd, sp in subparsers.choices.items()}
+    assert documented == declared
 
 
 def test_parser_usage_exits():

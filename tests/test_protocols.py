@@ -212,6 +212,10 @@ def test_pairs_needed():
     assert option_i_pairs_needed(1 / 3, target_error=0.05) == 54
     with pytest.raises(ValueError):
         option_i_pairs_needed(0.0)
+    # tvd^2 underflows to 0, or the pair count overflows to inf
+    for tvd in (1e-300, 1e-160):
+        with pytest.raises(ValueError, match=f"tvd = {tvd!r}"):
+            option_i_pairs_needed(tvd)
 
 
 def test_option_i_report():

@@ -75,6 +75,16 @@ def test_sqrt_multiplies_back_near_negative_axis():
         assert (r * r).isclose(q, tol=1e-9)
 
 
+@pytest.mark.parametrize("q", [Quaternion(1e300, 1e300, 0, 0), Quaternion(-1e-200, 0, 0, 0),
+                               Quaternion(1e-300, 1e-300, 0, 0), Quaternion(0, 1e-170, 1e-170, 0)])
+def test_sqrt_where_the_squares_overflow_or_underflow(q):
+    """The squares of these components leave the double range; their root
+    still multiplies back, and is not the zero quaternion."""
+    r = quaternion_sqrt(q)
+    assert r != Quaternion()
+    assert (r * r - q).norm() <= 1e-12 * q.norm()
+
+
 def test_sqrt_principal_half_angle():
     q = Quaternion(math.cos(0.8), math.sin(0.8), 0, 0)
     r = quaternion_sqrt(q)

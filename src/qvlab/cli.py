@@ -1,10 +1,11 @@
 """Command-line front end: one subcommand per suite, reproducible reports.
 
-Every invocation prints a single JSON document (or CSV for parameter sweeps)
-embedding the subcommand, the parsed configuration, the seed, the tool
-version, and a pass flag.  Identical arguments and seed produce byte-identical
-output; there are no timestamps.  Exit codes: 0 success/pass, 1 a check
-failed (details and witnesses stay in the report), 2 usage or input errors.
+Every invocation prints a single JSON document embedding the subcommand,
+the parsed configuration, the seed, the tool version, and a pass flag
+(``simulate --format csv`` prints a CSV table of the state instead).
+Identical arguments and seed produce byte-identical output; there are no
+timestamps.  Exit codes: 0 success/pass, 1 a check failed (details and
+witnesses stay in the report), 2 usage or input errors.
 """
 from __future__ import annotations
 
@@ -90,11 +91,15 @@ def _cmd_simulate(args) -> int:
         outcomes = engine.sample(state, args.p, size=args.trials, seed=args.seed)
         body["sample_counts"] = np.bincount(outcomes, minlength=dist.size)
     if args.format == "csv":
-        labels = [format(i, f"0{circuit.num_qubits}b") for i in range(dist.size)]
-        rows = [[labels[i], repr(float(state.amplitudes[i].real)),
-                 repr(float(state.amplitudes[i].imag)), repr(float(dist[i]))]
-                for i in range(dist.size)]
-        _write(args, _csv_text(["basis", "re", "im", "probability"], rows))
+        header = ["basis", "re", "im", "probability"]
+        rows = [[format(i, f"0{circuit.num_qubits}b"), repr(float(a.real)),
+                 repr(float(a.imag)), repr(float(w))]
+                for i, (a, w) in enumerate(zip(state.amplitudes, dist))]
+        if args.trials:
+            header.append("count")
+            for row, count in zip(rows, body["sample_counts"]):
+                row.append(int(count))
+        _write(args, _csv_text(header, rows))
         return 0
     _emit(args, body, True)
     return 0
@@ -178,16 +183,8 @@ def _cmd_gadget(args) -> int:
 
 # ------------------------------------------------------------- discriminate
 
-_P_SWEEP = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
-
-
 def _cmd_discriminate(args) -> int:
     setup = protocols.build_discrimination_setup(args.d, args.p)
-    if args.format == "csv":
-        rows = [[p, repr(protocols.discrimination_error_closed_form(args.d, p))]
-                for p in _P_SWEEP]
-        _write(args, _csv_text(["p", "error"], rows))
-        return 0
     error = protocols.discrimination_error(setup, args.j)
     body = {
         "d": args.d, "p": args.p, "j": args.j,
@@ -213,18 +210,6 @@ def _cmd_discriminate(args) -> int:
 # ------------------------------------------------------------------ signal
 
 def _cmd_signal(args) -> int:
-    if args.format == "csv":
-        if args.scenario == "ii":
-            rows = [[repr(e), repr(protocols.signalling_option_ii(e).tvd)]
-                    for e in [i / 10.0 for i in range(11)]]
-            _write(args, _csv_text(["epsilon", "tvd"], rows))
-        else:
-            rows = []
-            for p in [1.0, 3.0] + [float(p) for p in _P_SWEEP if p != 2]:
-                z, x = protocols.option_i_ensembles(p, args.d)
-                rows.append([repr(p), repr(protocols.total_variation(z, x))])
-            _write(args, _csv_text(["p", "tvd"], rows))
-        return 0
     if args.scenario == "ii":
         rep = protocols.signalling_option_ii(args.epsilon)
         passed = abs(rep.tvd - rep.extras["tvd_closed_form"]) <= args.tol
@@ -268,7 +253,7 @@ def _cmd_sqrt(args) -> int:
 def _cmd_island_scan(args) -> int:
     report = normlaws.island_scan(args.n, args.p, num_matrices=args.matrices,
                                   seed=args.seed, tol=args.tol,
-                                  trials=args.trials or 24,
+                                  trials=args.trials,
                                   nonnegative=args.nonnegative)
     _emit(args, report.to_dict(), report.passed)
     return 0 if report.passed else 1
@@ -335,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                                              "discrimination error")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--j", type=int, default=0, help="true state index")
-    shared(sp, "p", "seed", "trials", "tol", "format", p=4.0)
+    shared(sp, "p", "seed", "trials", "tol", p=4.0)
     sp.set_defaults(func=_cmd_discriminate)
 
     sp = sub.add_parser("signal", help="superluminal signalling scenarios")
@@ -343,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=float, default=1e-3)
     sp.add_argument("--d", type=int, default=4)
     sp.add_argument("--pairs", type=int, default=None)
-    shared(sp, "p", "seed", "trials", "tol", "format", p=4.0)
+    shared(sp, "p", "seed", "trials", "tol", p=4.0)
     sp.set_defaults(func=_cmd_signal)
 
     sp = sub.add_parser("sqrt", help="square/k-th roots in the allowed group")

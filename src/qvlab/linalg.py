@@ -1,7 +1,10 @@
 """Vector norms and the orthogonal-matrix machinery used across the package.
 
 The plane-rotation block decomposition of a real orthogonal matrix is read
-off scipy's real Schur form, so it works at any dimension.
+off scipy's real Schur form, so it works at any dimension.  Orthonormal
+columns are completed to a unitary by one LAPACK QR, and every
+orthonormality check (unitary, real orthogonal, columns to complete) goes
+through one Gram residual.
 """
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ import scipy.linalg
 
 # Default tolerances. All of these can be overridden per call.
 ORTHONORMAL_TOL = 1e-10
-GRAM_SCHMIDT_SKIP_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-9
 
 # exp2(x) is exactly 0.0 for every x below this: 2^-1075 is half the
@@ -126,11 +128,11 @@ def is_unitary(m, tol: float = ORTHONORMAL_TOL) -> bool:
 
 
 def _gram_residual(m: np.ndarray) -> float:
-    """max |m^H m - I| of a square matrix; inf where that is not finite
-    (entries above about 1e154 overflow the Gram product), so no tolerance
-    passes."""
+    """max |m^H m - I| over the columns of ``m``; inf where that is not
+    finite (NaN or inf entries, or entries above about 1e154, which overflow
+    the Gram product), so no tolerance passes."""
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+        residual = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
     return residual if math.isfinite(residual) else math.inf
 
 
@@ -150,14 +152,13 @@ def is_real_orthogonal(m, tol: float = ORTHONORMAL_TOL) -> bool:
     return _orthogonality_failure(np.asarray(m), tol) is None
 
 
-def complete_to_unitary(columns, tol: float = ORTHONORMAL_TOL,
-                        skip_tol: float = GRAM_SCHMIDT_SKIP_TOL) -> np.ndarray:
+def complete_to_unitary(columns, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
     """Extend k orthonormal columns to a full unitary, deterministically.
 
-    Candidates are the canonical basis vectors in index order; each is
-    Gram-Schmidt orthogonalized against the columns accepted so far and kept
-    when its residual norm exceeds ``skip_tol``.  The supplied columns come
-    first in the result, so round-tripping the leading k columns is exact.
+    The other d - k columns are the trailing columns of the full LAPACK QR
+    of the supplied ones, an orthonormal basis of their complement.  The
+    supplied columns come first in the result, bit for bit, so
+    round-tripping the leading k columns is exact.
 
     Raises NotOrthonormal when the input columns fail the Gram check.
     """
@@ -168,27 +169,10 @@ def complete_to_unitary(columns, tol: float = ORTHONORMAL_TOL,
     if any(c.size != d for c in cols) or len(cols) > d:
         raise NotOrthonormal("columns must share one dimension, at most d of them")
     basis = np.column_stack(cols)
-    gram = basis.conj().T @ basis
-    if np.max(np.abs(gram - np.eye(len(cols)))) > tol:
-        raise NotOrthonormal(
-            f"columns are not orthonormal within {tol:g}")
-
-    accepted = list(basis.T)
-    for i in range(d):
-        if len(accepted) == d:
-            break
-        cand = np.zeros(d, dtype=np.complex128)
-        cand[i] = 1.0
-        # two passes of projection for numerical stability
-        for _ in range(2):
-            for b in accepted:
-                cand = cand - (b.conj() @ cand) * b
-        norm = np.linalg.norm(cand)
-        if norm > skip_tol:
-            accepted.append(cand / norm)
-    if len(accepted) != d:
-        raise NotOrthonormal("could not complete basis; inputs nearly dependent")
-    return np.column_stack(accepted)
+    if not _gram_residual(basis) <= tol:
+        raise NotOrthonormal(f"columns are not orthonormal within {tol:g}")
+    complement = scipy.linalg.qr(basis, mode="full")[0][:, len(cols):]
+    return np.column_stack([basis, complement])
 
 
 @dataclass(frozen=True)

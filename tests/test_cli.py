@@ -143,6 +143,16 @@ def test_simulate_csv(files, capsys):
     assert [r[0] for r in rows[1:]] == ["00", "01", "10", "11"]
     assert float(rows[1][3]) == pytest.approx(0.5, abs=1e-12)
 
+    # with --trials, the JSON report's seeded sample_counts as a last column
+    sampled = ["simulate", "--circuit", files["bell"], "--trials", "1000", "--seed", "5"]
+    code, counted, _ = run([*sampled, "--format", "csv"], capsys)
+    assert code == 0
+    counted = list(csv.reader(io.StringIO(counted)))
+    assert counted[0] == [*rows[0], "count"]
+    assert [r[:4] for r in counted[1:]] == rows[1:]
+    _, report, _ = run(sampled, capsys)
+    assert [int(r[4]) for r in counted[1:]] == envelope(report)["report"]["sample_counts"]
+
 
 def test_out_flag_writes_file(files, capsys):
     target = files["dir"] / "report.json"
@@ -336,32 +346,12 @@ def test_discriminate_j_out_of_range_is_usage_error(files, capsys, j):
     assert err.startswith("qvlab discriminate:") and f"j = {j}" in err
 
 
-def test_discriminate_csv_sweep(files, capsys):
-    code, out, _ = run(["discriminate", "--d", "5", "--format", "csv"], capsys)
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["p", "error"]
-    assert [int(r[0]) for r in rows[1:]] == [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
-    errors = [float(r[1]) for r in rows[1:]]
-    assert all(a >= b for a, b in zip(errors, errors[1:]))
-
-
 def test_signal_option_ii(files, capsys):
     code, out, _ = run(["signal", "--scenario", "ii", "--epsilon", "0.3"], capsys)
     assert code == 0
     report = envelope(out)["report"]
     want = (1 - 0.09) / (1 + 0.09)
     assert report["tvd"] == pytest.approx(want, abs=1e-12)
-
-
-def test_signal_option_ii_csv(files, capsys):
-    code, out, _ = run(["signal", "--scenario", "ii", "--format", "csv"], capsys)
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["epsilon", "tvd"]
-    assert len(rows) == 12
-    assert float(rows[1][1]) == pytest.approx(1.0)
-    assert float(rows[-1][1]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_signal_multistate(files, capsys):
@@ -389,15 +379,6 @@ def test_signal_option_i(files, capsys):
     code, _, err = run(["signal", "--scenario", "i", "--p", "2"], capsys)
     assert code == 2
     assert "p = 2" in err
-
-
-def test_signal_option_i_csv(files, capsys):
-    code, out, _ = run(["signal", "--scenario", "i", "--format", "csv"], capsys)
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["p", "tvd"]
-    assert float(rows[1][0]) == 1.0
-    assert all(float(r[1]) > 0 for r in rows[1:])
 
 
 def test_sqrt_reflection_paths(files, capsys):
@@ -456,6 +437,18 @@ def test_island_scan(files, capsys):
     assert code == 0
 
 
+def test_island_scan_trials_zero_runs_only_the_basis_vectors(files, capsys):
+    # at n = 3 any --trials up to 3 tests just the basis vectors, --trials 0 included
+    reports = []
+    for trials in ("0", "3"):
+        code, out, _ = run(["island-scan", "--n", "3", "--matrices", "30",
+                            "--trials", trials], capsys)
+        data = envelope(out)
+        assert data["config"]["trials"] == int(trials)
+        reports.append((code, data["report"]))
+    assert reports[0] == reports[1]
+
+
 # the shared flags each subcommand reads, and a value for its required flags
 READS = {
     "simulate": ("p seed trials format", ["--circuit", "c.json"]),
@@ -463,8 +456,8 @@ READS = {
     "postbqp": ("seed trials", ["--truth-table", "f.txt"]),
     "or-solve": ("", ["--truth-table", "f.txt"]),
     "gadget": ("p tol", ["--m", "2"]),
-    "discriminate": ("p seed trials tol format", ["--d", "3"]),
-    "signal": ("p seed trials tol format", ["--scenario", "ii"]),
+    "discriminate": ("p seed trials tol", ["--d", "3"]),
+    "signal": ("p seed trials tol", ["--scenario", "ii"]),
     "sqrt": ("", ["--matrix", "m.json"]),
     "island-scan": ("p seed trials tol", ["--n", "2"]),
 }

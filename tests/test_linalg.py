@@ -98,11 +98,17 @@ def test_complete_to_unitary_single_column():
 
 
 def test_complete_to_unitary_random_columns():
-    for n, k in [(3, 1), (4, 2), (6, 3)]:
+    cases = []
+    for n, k in [(1, 1), (2, 2), (3, 1), (4, 2), (6, 3), (12, 3)]:
         q = haar_orthogonal(n, RNG).astype(complex)
-        cols = [q[:, i] for i in range(k)]
+        cases.append([q[:, i] for i in range(k)])
+    # the discrimination setup's two fan-out columns at d = 101
+    t = np.pi * np.arange(101) / 101
+    cases.append([math.sqrt(2 / 101) * np.cos(t), math.sqrt(2 / 101) * np.sin(t)])
+    for cols in cases:
         u = complete_to_unitary(cols)
-        assert np.allclose(u[:, :k], np.column_stack(cols), atol=1e-12)
+        assert u.dtype == np.complex128 and u.shape == (cols[0].size,) * 2
+        assert np.array_equal(u[:, :len(cols)], np.column_stack(cols))
         assert is_unitary(u)
 
 
@@ -112,6 +118,11 @@ def test_complete_to_unitary_rejects_non_orthonormal():
     with pytest.raises(NotOrthonormal):
         complete_to_unitary([np.array([1.0, 0.0], dtype=complex),
                              np.array([0.6, 0.8], dtype=complex)])
+    # non-finite entries, and entries whose Gram product overflows, fail the
+    # check itself, without a warning
+    for bad in (1e200, math.nan, math.inf):
+        with pytest.raises(NotOrthonormal, match="not orthonormal"):
+            complete_to_unitary([np.array([bad, 0.0])])
 
 
 def test_blocks_round_trip():

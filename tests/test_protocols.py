@@ -19,13 +19,14 @@ from qvlab.protocols import (ANTIPODAL_NOTE, build_discrimination_setup,
 
 
 def test_setup_geometry():
-    setup = build_discrimination_setup(5, 4.0)
-    assert np.allclose(np.linalg.norm(setup.states, axis=1), 1.0, atol=1e-12)
-    assert np.allclose(setup.unitary @ setup.unitary.T, np.eye(5), atol=1e-12)
-    k = np.arange(5)
-    assert np.allclose(setup.unitary[:, 0], math.sqrt(2 / 5) * np.cos(np.pi * k / 5))
-    assert np.allclose(setup.unitary[:, 1], math.sqrt(2 / 5) * np.sin(np.pi * k / 5))
-    assert "sqrt(2)" in setup.note
+    for d in (5, 101):
+        setup = build_discrimination_setup(d, 4.0)
+        assert np.allclose(np.linalg.norm(setup.states, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(setup.unitary @ setup.unitary.T, np.eye(d), atol=1e-12)
+        k = np.arange(d)
+        assert np.allclose(setup.unitary[:, 0], math.sqrt(2 / d) * np.cos(np.pi * k / d))
+        assert np.allclose(setup.unitary[:, 1], math.sqrt(2 / d) * np.sin(np.pi * k / d))
+        assert "sqrt(2)" in setup.note
 
 
 def test_setup_rejections():

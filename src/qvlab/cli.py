@@ -108,10 +108,14 @@ def _cmd_simulate(args) -> int:
 # -------------------------------------------------------------- check-norm
 
 def _cmd_check_norm(args) -> int:
+    # the formal expansion reads neither flag, so it takes neither
+    numeric_only = args.nonnegative or args.convention != "modulus"
+    if args.mode == "formal" and numeric_only:
+        raise ValueError("--mode formal takes neither --nonnegative nor --convention split")
     matrix = _load_matrix(args.matrix)
     mode = args.mode
     if mode == "auto":
-        formal = not args.nonnegative and normlaws.formal_even_applies(matrix, args.p, args.tol)
+        formal = not numeric_only and normlaws.formal_even_applies(matrix, args.p, args.tol)
         mode = "formal" if formal else "numeric"
     if mode == "formal":
         verdict = normlaws.preserves_pnorm_formal_even(matrix, args.p, tol=args.tol)

@@ -171,7 +171,7 @@ def complete_to_unitary(columns, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
     basis = np.column_stack(cols)
     if not _gram_residual(basis) <= tol:
         raise NotOrthonormal(f"columns are not orthonormal within {tol:g}")
-    complement = scipy.linalg.qr(basis, mode="full")[0][:, len(cols):]
+    complement = np.linalg.qr(basis, mode="complete")[0][:, len(cols):]
     return np.column_stack([basis, complement])
 
 
@@ -267,11 +267,16 @@ def rotation_block_decompose(u, tol: float = ORTHONORMAL_TOL,
     return q, blocks
 
 
+def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
+    """Haar samples from O(n), one per standard Gaussian matrix of the
+    (..., n, n) stack ``g``: the QR of each, with the sign fix."""
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., np.newaxis, :]
+
+
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed sample from O(n) (QR of a Gaussian with sign fix)."""
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+    return _haar_from_gaussian(rng.standard_normal((n, n)))
 
 
 def haar_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

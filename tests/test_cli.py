@@ -207,6 +207,25 @@ def test_check_norm_auto_leaves_the_formal_domain_to_normlaws(files, capsys):
     assert code == 2 and out == "" and "p = 4.5" in err
 
 
+@pytest.mark.parametrize("entry, p", [(math.nan, "3"), (math.nan, "4"), (math.inf, "3")])
+def test_check_norm_rejects_non_finite_matrices(files, capsys, entry, p):
+    path = files["dir"] / "bad.json"
+    path.write_text(json.dumps({"matrix": [[entry, 0], [0, 1]]}))   # NaN / Infinity
+    code, out, err = run(["check-norm", "--matrix", str(path), "--p", p], capsys)
+    assert code == 2 and out == "" and "finite" in err
+
+
+def test_check_norm_formal_refuses_numeric_only_flags(files, capsys):
+    for flags in (["--nonnegative"], ["--convention", "split"]):
+        code, out, err = run(["check-norm", "--matrix", files["signed_perm"],
+                              "--mode", "formal", *flags], capsys)
+        assert code == 2 and out == "" and "--mode formal" in err
+        # auto leaves the formal expansion to the modulus convention on all inputs
+        code, out, _ = run(["check-norm", "--matrix", files["signed_perm"], *flags], capsys)
+        assert code == 0
+        assert envelope(out)["report"]["mode"] == "numeric"
+
+
 def test_postbqp_exact(files, capsys):
     code, out, _ = run(["postbqp", "--truth-table", files["f"]], capsys)
     assert code == 0

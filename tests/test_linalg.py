@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvlab.linalg import (DecompositionError, NonPositiveP, NotOrthogonal,
-                          NotOrthonormal, OrthogonalBlock, blocks_det,
-                          blocks_to_matrix, complete_to_unitary,
+                          NotOrthonormal, OrthogonalBlock, _haar_from_gaussian,
+                          blocks_det, blocks_to_matrix, complete_to_unitary,
                           haar_orthogonal, haar_special_orthogonal,
                           is_real_orthogonal, is_unitary, p_distribution,
                           p_norm, rotation_block_decompose)
@@ -249,6 +249,17 @@ def test_haar_samplers():
         so = haar_special_orthogonal(n, RNG)
         assert is_real_orthogonal(so)
         assert np.linalg.det(so) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_haar_draw_matches_one_at_a_time(n):
+    # island_scan draws its Haar ensemble as one stack; the scans reach n = 4
+    stacked_rng, loop_rng = np.random.default_rng(n), np.random.default_rng(n)
+    count = 40
+    stacked = _haar_from_gaussian(stacked_rng.standard_normal((count, n, n)))
+    one_at_a_time = np.stack([haar_orthogonal(n, loop_rng) for _ in range(count)])
+    assert np.array_equal(stacked, one_at_a_time)
+    assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def test_is_unitary_tolerance():

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvlab.linalg import NonPositiveP
-from qvlab.normlaws import (UnsupportedP, is_generalized_diagonal, island_scan,
+from qvlab.linalg import NonPositiveP, haar_orthogonal
+from qvlab.normlaws import (NUMERIC_TOL, UnsupportedP, _deviations,
+                            _random_generalized_diagonal, _sample_vectors,
+                            is_generalized_diagonal, island_scan,
                             phase_invariance_check, preserves_pnorm_formal_even,
                             preserves_pnorm_numeric)
 
@@ -90,6 +92,30 @@ def test_numeric_validation():
             island_scan(2, p, num_matrices=30)
     with pytest.raises(ValueError):
         preserves_pnorm_numeric(H2, 3.0, convention="cartesian")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_matrices_are_rejected(bad):
+    m = np.array([[bad, 0.0], [0.0, 1.0]])
+    for check in (is_generalized_diagonal, lambda a: preserves_pnorm_numeric(a, 3.0),
+                  lambda a: preserves_pnorm_formal_even(a, 4),
+                  lambda a: phase_invariance_check(a, 3.0)):
+        with pytest.raises(ValueError, match="finite"):
+            check(m)
+        with pytest.raises(ValueError, match="finite"):
+            check(m.tolist())
+
+
+def test_non_square_matrices_are_rejected():
+    for m in (np.ones((2, 3)), np.ones(3), [[1.0, 0.0], [0.0]]):
+        for check in (is_generalized_diagonal, lambda a: preserves_pnorm_numeric(a, 3.0),
+                      lambda a: phase_invariance_check(a, 3.0)):
+            with pytest.raises(ValueError):
+                check(m)
+    with pytest.raises(ValueError):
+        preserves_pnorm_formal_even([[1.0, 0.0], [0.0]], 4)
+    with pytest.raises(ValueError):
+        preserves_pnorm_formal_even([[1, 0], [0]], 4)
 
 
 @pytest.mark.parametrize("p", [2, 4, 6, 8])
@@ -180,6 +206,59 @@ def test_island_scan_nonnegative_cone():
     report = island_scan(3, 1.0, num_matrices=200, seed=8, nonnegative=True)
     assert report.passed
     assert report.residuals["column_stochastic.preserving"] == 20
+
+
+def _scan_reference(n, p, num_matrices, seed, tol, trials, nonnegative):
+    """island_scan's non-expected ensembles drawn and classified one matrix
+    at a time: the preserving count per ensemble and the witnesses in order,
+    which together fix each ensemble's count of classified preservers."""
+    rng = np.random.default_rng(seed)
+    vecs = _sample_vectors(n, trials, rng, complex_vectors=not nonnegative,
+                           nonnegative=nonnegative)
+    per = max(1, num_matrices // 3)
+    haar = [haar_orthogonal(n, rng).astype(complex) for _ in range(per)]
+    base = _random_generalized_diagonal(n, per, rng, real_signs=nonnegative)
+    deltas = rng.uniform(1e-3, 1e-1, size=per)[:, None, None]
+    perturbed = base + deltas * rng.standard_normal((per, n, n))
+    dense = (rng.standard_normal((num_matrices - 2 * per, n, n)) / math.sqrt(n)).astype(complex)
+    preserving, witnesses = {}, []
+    for name, mats in (("haar_orthogonal", haar),
+                       ("perturbed_generalized_diagonal", perturbed),
+                       ("dense_gaussian", dense)):
+        preserving[name] = 0
+        for m in mats:
+            if not _deviations(m, vecs, p).max() <= tol:
+                continue
+            preserving[name] += 1
+            ok = is_generalized_diagonal(m, tol=max(tol, NUMERIC_TOL)).is_generalized_diagonal
+            if nonnegative:
+                r = m.real
+                ok = ok or bool(np.all(r >= -tol)
+                                and np.max(np.abs(r.sum(axis=0) - 1.0)) <= max(tol, 1e-8))
+            if not ok:
+                witnesses.append(m)
+    return preserving, witnesses
+
+
+@pytest.mark.parametrize("nonnegative, p", [(False, 3.0), (True, 1.0)])
+@pytest.mark.parametrize("tol", [0.5, 10.0])
+def test_island_scan_classifies_like_the_per_matrix_reference(nonnegative, p, tol):
+    # at these tolerances numeric preservers abound: at 0.5 some classify
+    # and some are counterexamples, at 10 every matrix preserves
+    n, num_matrices, seed, trials = 3, 300, 4, 24
+    report = island_scan(n, p, num_matrices=num_matrices, seed=seed, tol=tol,
+                         trials=trials, nonnegative=nonnegative)
+    preserving, witnesses = _scan_reference(n, p, num_matrices, seed, tol, trials, nonnegative)
+    for name, count in preserving.items():
+        assert report.residuals[f"{name}.preserving"] == count
+    assert len(report.witnesses) == len(witnesses)
+    for got, want in zip(report.witnesses, witnesses):
+        assert np.array_equal(got, want)
+    assert report.passed == (not witnesses and report.residuals["expected_ensemble_failures"] == 0)
+    if tol == 10.0:
+        assert set(preserving.values()) == {100}
+    else:
+        assert 0 < len(witnesses) < sum(preserving.values())
 
 
 @given(seed=st.integers(min_value=0, max_value=2 ** 31),

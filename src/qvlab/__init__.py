@@ -28,7 +28,7 @@ from .normlaws import (GenDiagVerdict, PreservationVerdict, UnsupportedP,
                        is_generalized_diagonal, island_scan,
                        phase_invariance_check, preserves_pnorm_formal_even,
                        preserves_pnorm_numeric)
-from .pathsum import amplitude_recursive
+from .pathsum import PathSumTooDeep, amplitude_recursive
 from .postbqp import (BooleanFunction, GadgetReport, MajorityDecision,
                       OrDecision, PaddingViolation, count_state_exact,
                       count_state_weight, gadget_factor, gadget_size,
@@ -68,7 +68,7 @@ __all__ = [
     "is_generalized_diagonal", "island_scan", "phase_invariance_check",
     "preserves_pnorm_formal_even", "preserves_pnorm_numeric",
     # path sum
-    "amplitude_recursive",
+    "PathSumTooDeep", "amplitude_recursive",
     # postselection machinery
     "BooleanFunction", "GadgetReport", "MajorityDecision", "OrDecision",
     "PaddingViolation", "PEqualsTwo", "count_state_exact",

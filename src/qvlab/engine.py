@@ -459,7 +459,7 @@ def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int],
         v = _target_view(state.amplitudes, targets[0])
         new = _apply_block(v, m)
         if mode is NormalizationMode.LOCAL:
-            new = _rescale_branches(v, new, axis=1)
+            new = _rescale_branches(v, new)
         return StateVector(new.reshape(-1))
     if (gate.controlled is not None and gate.kind == "unitary"
             and mode is not NormalizationMode.LOCAL):
@@ -483,22 +483,22 @@ def _kron(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * c[:, None, :]).reshape(k, k)
 
 
-def _rescale_branches(branches: np.ndarray, new: np.ndarray, axis: int = 0) -> np.ndarray:
+def _rescale_branches(branches: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Local normalization: scale each branch of ``new`` back to the 2-norm
     of the same branch of ``branches``.
 
-    A branch is a line along ``axis``, which indexes the gate's targets.  The
+    A branch is a line along axis -2, which indexes the gate's targets.  The
     norms are scale-safe, so a branch at any amplitude scale keeps its
     weight; an empty branch stays empty.  ``new`` is scaled in place and
     returned.  Raises ZeroBranch when a nonzero branch was mapped to zero.
     """
-    before = _branch_norms(branches, axis)
-    after = _branch_norms(new, axis)
+    before = _branch_norms(branches)
+    after = _branch_norms(new)
     if np.any((before > 0.0) & (after == 0.0)):
         raise ZeroBranch(
             "a branch with nonzero weight was annihilated under local normalization")
     ratio = np.divide(before, after, out=np.ones_like(before), where=after > 0.0)
-    new *= np.expand_dims(ratio, axis)
+    new *= np.expand_dims(ratio, -2)
     return new
 
 
@@ -506,8 +506,8 @@ def _rescale_branches(branches: np.ndarray, new: np.ndarray, axis: int = 0) -> n
 _SAFE_SQ = (2.0 ** -900, 2.0 ** 900)
 
 
-def _branch_norms(x: np.ndarray, axis: int) -> np.ndarray:
-    """2-norms of the lines of ``x`` along ``axis``, scale-safe.
+def _branch_norms(x: np.ndarray) -> np.ndarray:
+    """2-norms of the lines of ``x`` along axis -2, scale-safe.
 
     One pass forms each line's sum of |a|^2.  Only the lines whose sum is 0,
     not finite, or so small or large that a square may have under- or
@@ -515,13 +515,13 @@ def _branch_norms(x: np.ndarray, axis: int) -> np.ndarray:
     lines that are all zero keep their norm of 0 and skip it.
     """
     with np.errstate(over="ignore"):
-        sums = _line_sums(_abs_squared(x), axis)
+        sums = _line_sums(_abs_squared(x))
     norms = np.sqrt(sums)
     if not _SAFE_SQ[0] <= sums.min() <= sums.max() <= _SAFE_SQ[1]:   # NaN fails too
         redo = ~((sums >= _SAFE_SQ[0]) & (sums <= _SAFE_SQ[1]))
-        redo &= _line_sums(x != 0, axis) > 0
+        redo &= _line_sums(x != 0) > 0
         if redo.any():
-            norms[redo] = p_norm(np.moveaxis(x, axis, -1)[redo], 2.0, axis=-1)
+            norms[redo] = p_norm(np.swapaxes(x, -2, -1)[redo], 2.0, axis=-1)
     return norms
 
 
@@ -532,10 +532,10 @@ def _abs_squared(x: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _line_sums(a: np.ndarray, axis: int) -> np.ndarray:
-    """Sums along ``axis``; a two-entry axis is added as two halves, by one
+def _line_sums(a: np.ndarray) -> np.ndarray:
+    """Sums along axis -2; a two-entry axis is added as two halves, by one
     ufunc call (as ``p_norm`` does), not by numpy's slow short reduce."""
-    return np.add(*_halves(a, axis)).squeeze(axis) if a.shape[axis] == 2 else a.sum(axis)
+    return np.add(*_halves(a, -2)).squeeze(-2) if a.shape[-2] == 2 else a.sum(-2)
 
 
 def apply_nonlinear(state: StateVector, kind: str, target: int) -> StateVector:

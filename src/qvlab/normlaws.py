@@ -93,21 +93,18 @@ def is_generalized_diagonal(a, tol: float = NUMERIC_TOL) -> GenDiagVerdict:
 
 
 def _sample_vectors(n: int, trials: int, rng: np.random.Generator,
-                    complex_vectors: bool = True, nonnegative: bool = False) -> np.ndarray:
-    """Deterministic trial vectors: canonical basis first, then unit-sphere draws."""
+                    nonnegative: bool = False) -> np.ndarray:
+    """Deterministic trial vectors: canonical basis first, then unit-sphere
+    draws, nonnegative ones or else real for the first half, complex after."""
     rows = [np.eye(n, dtype=np.complex128)]
     remaining = max(0, trials - n)
-    real_count = remaining // 2 if complex_vectors else remaining
     if nonnegative:
         draws = np.abs(rng.standard_normal((remaining, n)))
     else:
         re = rng.standard_normal((remaining, n))
-        if complex_vectors:
-            im = rng.standard_normal((remaining, n))
-            im[:real_count] = 0.0
-            draws = re + 1j * im
-        else:
-            draws = re
+        im = rng.standard_normal((remaining, n))
+        im[:remaining // 2] = 0.0
+        draws = re + 1j * im
     if remaining:
         norms = np.linalg.norm(draws, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
@@ -146,8 +143,7 @@ def preserves_pnorm_numeric(a, p: float, trials: int = 64, seed: int | None = 0,
         raise ValueError("convention must be 'modulus' or 'split'")
     a = _square_matrix(a)
     rng = np.random.default_rng(seed)
-    vecs = _sample_vectors(a.shape[0], trials, rng,
-                           complex_vectors=not nonnegative, nonnegative=nonnegative)
+    vecs = _sample_vectors(a.shape[0], trials, rng, nonnegative)
     devs = _deviations(a, vecs, p, convention)
     worst = float(devs.max()) if devs.size else 0.0
     bad = np.nonzero(devs > tol)[0]
@@ -323,8 +319,7 @@ def island_scan(n: int, p: float, num_matrices: int = 1000, seed: int | None = 0
     if p == 2 and not nonnegative:
         raise UnsupportedP("p = 2 is the exceptional case; the scan claim fails there")
     rng = np.random.default_rng(seed)
-    vecs = _sample_vectors(n, trials, rng,
-                           complex_vectors=not nonnegative, nonnegative=nonnegative)
+    vecs = _sample_vectors(n, trials, rng, nonnegative)
 
     per = max(1, num_matrices // 3)
     ensembles: dict[str, np.ndarray] = {}

@@ -7,6 +7,12 @@ matrix entries are pruned), so memory grows linearly with circuit depth and
 never with register width.  Time is exponential in the number of branching
 gates; the point of this evaluator is the memory profile, not speed.
 
+Each call lays out every step once, in a table of its target bits
+(``_step_table``, which checks the targets as ``run_circuit`` does), so a
+node finds its output assignment and its parents by masking the basis
+index.  The recursion takes one stack frame per step; past the
+interpreter's recursion limit it raises ``PathSumTooDeep``.
+
 Local-mode steps are supported: the branch rescaling factor depends only on
 the same 2^arity parents as the linear action, and it is computed by the
 dense engine's own scale-safe rescale (``engine._rescale_branches``) on that
@@ -20,15 +26,20 @@ expression.  Circuits containing postselection steps are rejected.
 from __future__ import annotations
 
 import cmath
+import sys
 from typing import Callable
 
 import numpy as np
 
 from .engine import (_PAIR_MAPS, AmplitudeOverflow, Circuit, GateStep,
-                     NormalizationMode, PostselectStep, StateVector,
+                     NormalizationMode, PostselectStep, StateVector, _check_targets,
                      _overflow_message, _rescale_branches, basis_index)
 
 InitialAmplitude = Callable[[int], complex]
+
+
+class PathSumTooDeep(RecursionError):
+    """The circuit has more steps than the recursion limit leaves frames for."""
 
 
 def ground_amplitude(index: int) -> complex:
@@ -47,11 +58,7 @@ def amplitude_recursive(circuit: Circuit, x: int | str, t: int | None = None,
     """
     n = circuit.num_qubits
     steps = circuit.steps if t is None else circuit.steps[:t]
-    for step in steps:
-        if isinstance(step, PostselectStep):
-            raise ValueError(
-                "postselection steps renormalize globally and are not supported "
-                "by the recursive evaluator")
+    tables = [_step_table(n, step) for step in steps]
 
     if initial is None:
         initial_fn: InitialAmplitude = ground_amplitude
@@ -64,36 +71,40 @@ def amplitude_recursive(circuit: Circuit, x: int | str, t: int | None = None,
         initial_fn = initial
 
     index = basis_index(n, x)
-    return _amp(steps, len(steps), index, n, initial_fn)
+    try:
+        return _amp(tables, len(tables), index, initial_fn)
+    except RecursionError as exc:
+        raise PathSumTooDeep(f"{len(tables)} steps, one stack frame each, ran past "
+                             f"the recursion limit of {sys.getrecursionlimit()}") from exc
 
 
-def _amp(steps, t: int, index: int, n: int, initial_fn: InitialAmplitude) -> complex:
+def _step_table(n: int, step: GateStep) -> tuple:
+    """(step, mask, bits, assignment): ``bits[a]`` holds the index bits of
+    target assignment a (targets[0] most significant), ``mask`` all of them,
+    and ``assignment`` maps ``index & mask`` back to a."""
+    if isinstance(step, PostselectStep):
+        raise ValueError(
+            "postselection steps renormalize globally and are not supported "
+            "by the recursive evaluator")
+    bits = [0]
+    for q in _check_targets(n, step.targets, step.gate.arity):
+        bits = [b | bit for b in bits for bit in (0, 1 << (n - 1 - q))]
+    return step, bits[-1], bits, {b: a for a, b in enumerate(bits)}
+
+
+def _amp(tables, t: int, index: int, initial_fn: InitialAmplitude) -> complex:
     if t == 0:
         return complex(initial_fn(index))
-    step: GateStep = steps[t - 1]
+    step, mask, bits, assignment = tables[t - 1]
+    base = index & ~mask
+    out = assignment[index & mask]
     gate = step.gate
-    targets = step.targets
-    k = len(targets)
-    shifts = [n - 1 - q for q in targets]
-    out_bits = 0
-    for pos, shift in enumerate(shifts):
-        out_bits |= ((index >> shift) & 1) << (k - 1 - pos)
-    base = index
-    for shift in shifts:
-        base &= ~(1 << shift)
-
-    def parent_index(assignment: int) -> int:
-        idx = base
-        for pos, shift in enumerate(shifts):
-            if (assignment >> (k - 1 - pos)) & 1:
-                idx |= 1 << shift
-        return idx
 
     if gate.matrix is None:
-        x = _amp(steps, t - 1, parent_index(0), n, initial_fn)
-        y = _amp(steps, t - 1, parent_index(1), n, initial_fn)
+        x = _amp(tables, t - 1, base, initial_fn)
+        y = _amp(tables, t - 1, base | bits[1], initial_fn)
         with np.errstate(over="ignore", invalid="ignore"):
-            amp = complex(_PAIR_MAPS[gate.kind](x, y)[out_bits])
+            amp = complex(_PAIR_MAPS[gate.kind](x, y)[out])
         if not cmath.isfinite(amp) and cmath.isfinite(x) and cmath.isfinite(y):
             raise AmplitudeOverflow(_overflow_message(gate.kind))
         return amp
@@ -101,15 +112,12 @@ def _amp(steps, t: int, index: int, n: int, initial_fn: InitialAmplitude) -> com
     m = gate.matrix
     if step.mode is NormalizationMode.LOCAL:
         # the branch is one (2^k, 1) column, rescaled as the dense engine does
-        parents = np.array([[_amp(steps, t - 1, parent_index(a), n, initial_fn)]
-                            for a in range(2 ** k)])
-        return complex(_rescale_branches(parents, m @ parents)[out_bits, 0])
+        parents = np.array([[_amp(tables, t - 1, base | b, initial_fn)] for b in bits])
+        return complex(_rescale_branches(parents, m @ parents)[out, 0])
 
     total = 0.0j
-    row = m[out_bits]
-    for a in range(2 ** k):
-        coeff = row[a]
+    for coeff, b in zip(m[out], bits):
         if coeff == 0.0:
             continue
-        total += coeff * _amp(steps, t - 1, parent_index(a), n, initial_fn)
+        total += coeff * _amp(tables, t - 1, base | b, initial_fn)
     return complex(total)

@@ -57,6 +57,19 @@ def test_state_vector_rejects_zero():
         StateVector(np.array([1.0, 0.0, 0.0]))  # not a power of two
 
 
+def test_unitary_blocks_can_underflow_to_the_zero_state():
+    # no unitary maps a nonzero vector to zero in exact arithmetic, but the
+    # fused block of four H has entries of 1/4, which round the one subnormal
+    # amplitude 5e-324 (times 1/4) down to 0: the all-zero scan must stay
+    amps = np.zeros(16)
+    amps[0] = 5e-324
+    circuit = Circuit(4)
+    for q in range(4):
+        circuit.gate(hadamard(), [q])
+    with pytest.raises(ValueError, match="all-zero"):
+        run_circuit(circuit, StateVector(amps))
+
+
 def test_basis_index_conventions():
     assert basis_index(3, "101") == 5
     assert basis_index(3, 6) == 6

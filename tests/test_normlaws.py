@@ -213,8 +213,7 @@ def _scan_reference(n, p, num_matrices, seed, tol, trials, nonnegative):
     at a time: the preserving count per ensemble and the witnesses in order,
     which together fix each ensemble's count of classified preservers."""
     rng = np.random.default_rng(seed)
-    vecs = _sample_vectors(n, trials, rng, complex_vectors=not nonnegative,
-                           nonnegative=nonnegative)
+    vecs = _sample_vectors(n, trials, rng, nonnegative)
     per = max(1, num_matrices // 3)
     haar = [haar_orthogonal(n, rng).astype(complex) for _ in range(per)]
     base = _random_generalized_diagonal(n, per, rng, real_signs=nonnegative)

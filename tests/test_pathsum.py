@@ -1,15 +1,18 @@
+import itertools
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from circuitgen import random_mixed_circuit
+from scipy.stats import unitary_group
 
-from qvlab.engine import (AmplitudeOverflow, Circuit, Gate, StateVector, ZeroBranch,
-                          bell_pair, cnot, hadamard, pauli_x, phase_twist_gate,
-                          quadratic_gate, run_circuit)
-from qvlab.pathsum import amplitude_recursive, ground_amplitude
+from qvlab.engine import (AmplitudeOverflow, Circuit, Gate, GateStep, StateVector,
+                          ZeroBranch, bell_pair, cnot, hadamard, pauli_x,
+                          phase_twist_gate, quadratic_gate, run_circuit)
+from qvlab.pathsum import PathSumTooDeep, amplitude_recursive, ground_amplitude
 
-ATOL = 1e-10
+ATOL = 1e-10   # criterion 08's AMP_TOL
 
 
 def bell_circuit():
@@ -89,6 +92,48 @@ def test_rejects_postselection():
                           (phase_twist_gate(), [0, 1])):
         with pytest.raises(ValueError):
             amplitude_recursive(Circuit(3).gate(gate, targets, "global"), 0)
+
+
+@pytest.mark.parametrize("gate, targets", [(hadamard(), (3,)), (hadamard(), (-1,)),
+                                           (cnot(), (0, 0)), (cnot(), (0,))],
+                         ids=["out-of-range", "negative", "repeated", "arity"])
+def test_appended_steps_are_checked_as_run_circuit_checks_them(gate, targets):
+    # a step appended to circuit.steps skips Circuit.gate's check; both
+    # evaluators still refuse it, with the same message
+    circuit = Circuit(2)
+    circuit.steps.append(GateStep(gate, targets))
+    with pytest.raises(ValueError) as dense:
+        run_circuit(circuit)
+    with pytest.raises(ValueError) as paths:
+        amplitude_recursive(circuit, 0)
+    assert str(paths.value) == str(dense.value)
+
+
+@pytest.mark.parametrize("mode", ["unitary", "global", "local"])
+def test_three_target_gates_match_dense_run(mode):
+    """A Haar 8x8 on every ordered triple of 4 qubits, from a random state."""
+    rng = np.random.default_rng(83)
+    initial = StateVector(rng.normal(size=16) + 1j * rng.normal(size=16))
+    for targets in itertools.permutations(range(4), 3):
+        u = unitary_group.rvs(8, random_state=int(rng.integers(2 ** 31)))
+        circuit = Circuit(4).gate(Gate(u), targets, mode)
+        dense = run_circuit(circuit, initial).amplitudes
+        got = np.array([amplitude_recursive(circuit, x, initial=initial)
+                        for x in range(16)])
+        assert np.max(np.abs(got - dense)) <= ATOL * np.abs(dense).max(), targets
+
+
+def test_depth_past_the_recursion_limit_is_typed():
+    # one stack frame per step: past the interpreter's limit the path sum
+    # raises a RecursionError subclass that names the depth and the limit
+    steps = sys.getrecursionlimit() + 200
+    circuit = Circuit(2)
+    for _ in range(steps):
+        circuit.gate(pauli_x(), [0])
+    with pytest.raises(PathSumTooDeep, match=f"{steps} steps") as info:
+        amplitude_recursive(circuit, 0)
+    assert isinstance(info.value, RecursionError)
+    assert f"limit of {sys.getrecursionlimit()}" in str(info.value)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e160, 1e300])

@@ -236,6 +236,15 @@ def test_gadget_empty_branches():
     assert report.measured_log2 == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_gadget_fan_out_can_underflow_to_the_zero_state(m):
+    # the controlled fan-out is unitary, yet a fused block of j >= 2 ancillas
+    # scales each amplitude by 2^(-j/2), which rounds the one subnormal
+    # amplitude 5e-324 down to 0, so the grown state is refused
+    with pytest.raises(ValueError, match="all-zero"):
+        postselection_gadget(StateVector(np.array([0.0, 5e-324])), 0, 1.0, m)
+
+
 @pytest.mark.parametrize("bit", [0, 1])
 @pytest.mark.parametrize("p", [1.0, 3.0])
 def test_gadget_fan_out_matches_step_by_step(bit, p):

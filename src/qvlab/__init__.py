@@ -45,7 +45,7 @@ from .protocols import (DiscriminationSetup, SignallingReport,
                         signalling_multistate_ii, signalling_option_i,
                         signalling_option_ii, steering_map, total_variation)
 from .quaternion import Quaternion, quaternion_sqrt
-from .report import CheckReport
+from .report import CheckReport, NonFiniteReport
 from .roots import (SqrtResult, embed_sqrt, kth_root_scan,
                     real_orthogonal_sqrt, unitary_sqrt)
 
@@ -87,7 +87,7 @@ __all__ = [
     # quaternions
     "Quaternion", "quaternion_sqrt",
     # reports
-    "CheckReport",
+    "CheckReport", "NonFiniteReport",
     # roots
     "SqrtResult", "embed_sqrt", "kth_root_scan", "real_orthogonal_sqrt",
     "unitary_sqrt",

@@ -4,8 +4,10 @@ Every invocation prints a single JSON document embedding the subcommand,
 the parsed configuration, the seed, the tool version, and a pass flag
 (``simulate --format csv`` prints a CSV table of the state instead).
 Identical arguments and seed produce byte-identical output; there are no
-timestamps.  Exit codes: 0 success/pass, 1 a check failed (details and
-witnesses stay in the report), 2 usage or input errors.
+timestamps.  Reports are strict JSON, written by ``report.json_text``.
+Exit codes: 0 success/pass, 1 a check failed (details and witnesses stay
+in the report), 2 usage or input errors, including a report value that is
+NaN or infinite (``report.NonFiniteReport``).
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, normlaws, postbqp, protocols, roots
-from .report import _jsonable, json_to_matrix, json_to_vector
+from .report import _jsonable, json_text, json_to_matrix, json_to_vector
 
 try:
     VERSION = importlib.metadata.version("qvlab")
@@ -56,8 +58,7 @@ def _emit(args: argparse.Namespace, body: dict, passed: bool) -> None:
         "pass": bool(passed),
         "report": body,
     }
-    text = json.dumps(_jsonable(envelope), sort_keys=True, indent=2) + "\n"
-    _write(args, text)
+    _write(args, json_text(_jsonable(envelope)) + "\n")
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -67,7 +68,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -92,14 +93,13 @@ def _cmd_simulate(args) -> int:
         body["sample_counts"] = np.bincount(outcomes, minlength=dist.size)
     if args.format == "csv":
         header = ["basis", "re", "im", "probability"]
-        rows = [[format(i, f"0{circuit.num_qubits}b"), repr(float(a.real)),
-                 repr(float(a.imag)), repr(float(w))]
-                for i, (a, w) in enumerate(zip(state.amplitudes, dist))]
+        amps = state.amplitudes
+        columns = [(format(i, f"0{circuit.num_qubits}b") for i in range(dist.size)),
+                   *(map(float.__repr__, x.tolist()) for x in (amps.real, amps.imag, dist))]
         if args.trials:
             header.append("count")
-            for row, count in zip(rows, body["sample_counts"]):
-                row.append(int(count))
-        _write(args, _csv_text(header, rows))
+            columns.append(body["sample_counts"].tolist())
+        _write(args, _csv_text(header, zip(*columns)))
         return 0
     _emit(args, body, True)
     return 0

@@ -64,6 +64,7 @@ def files(tmp_path):
         "upper_i": dump("upper_i.json", {"matrix": [[1, [0, 1]], [0, 1]]}),
         "phased_perm": dump("pp.json", {"matrix": [
             [0, [0.6, 0.8], 0], [0, 0, [0, -1]], [[-1, 0], 0, 0]]}),
+        "phased_cycle": dump("pc.json", {"matrix": [[0, 1, 0], [0, 0, -1], [[0, 1], 0, 0]]}),
         "f": dump("f.txt", "3\n01000001\n"),
         "g": dump("g.txt", "3\n0xbd\n"),
         "allzero": dump("z.txt", "2\n0000\n"),
@@ -80,9 +81,16 @@ def files(tmp_path):
     }
 
 
+def assert_report_layout(text):
+    # the layout of json.dumps(..., sort_keys=True, indent=2), whatever writes it
+    assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
+
+
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
+    if captured.out.startswith("{"):   # every JSON report; simulate's CSV starts "basis"
+        assert_report_layout(captured.out)
     return code, captured.out, captured.err
 
 
@@ -161,6 +169,7 @@ def test_out_flag_writes_file(files, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["subcommand"] == "simulate"
+    assert_report_layout(target.read_text())
 
 
 def test_check_norm_hadamard_fails(files, capsys):
@@ -357,6 +366,25 @@ def test_discriminate_large_p_writes_strict_json(files, capsys):
         assert code == 2 and out == "" and "finite" in err, argv
 
 
+# At p = 0.001, p_norm's power 1/p overflows: the gadget's measured factor is
+# inf and the 3-cycle's residual is inf - inf.  Reports are strict JSON, so
+# the value is refused by name at the one point that writes reports.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cmd, flags, where, value", [
+    ("gadget", ["--m", "4", "--p", "0.001"], "report.measured_factor", "inf"),
+    ("check-norm", ["--matrix", "phased_cycle", "--mode", "numeric", "--p", "0.001"],
+     "report.residual", "nan"),
+], ids=["gadget", "check-norm"])
+def test_non_finite_report_value_exits_2(files, capsys, cmd, flags, where, value):
+    target = files["dir"] / "report.json"
+    argv = [cmd, *[files.get(f, f) for f in flags]]
+    for extra in ([], ["--out", str(target)]):
+        code, out, err = run([*argv, *extra], capsys)
+        assert code == 2 and out == "" and not target.exists()
+        assert err == (f"qvlab {cmd}: report value {where} is {value}; "
+                       "strict JSON has no NaN or infinity\n")
+
+
 @pytest.mark.parametrize("j", ["7", "-1"])
 def test_discriminate_j_out_of_range_is_usage_error(files, capsys, j):
     # j names one of the d states; -1 must not wrap around to state d - 1
@@ -548,6 +576,7 @@ def test_console_script(files, command):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["report"]["qubits"] == 2
+    assert_report_layout(proc.stdout)
     proc = subprocess.run([*command, "sqrt", "--matrix", files["upper_i"], "--embed"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2 and proc.stdout == ""

@@ -86,8 +86,8 @@ it.  A window that covers the control is the identity there, and takes the
 full pass.  The matrices on each qubit are multiplied in step order, and
 their Kronecker product over the window, the identity on idle qubits, goes
 through ``_apply_block``, or ``_apply_controlled`` for a controlled run.
-Each fused step passes the target and mode checks of ``apply_gate``, so
-errors do not change.  Only unitaries are fused: a product of unitaries is
+Every step is checked before the run starts (``_check_run``), so fusion
+changes no error.  Only unitaries are fused: a product of unitaries is
 unitary, so the block neither overflows nor underflows at any amplitude
 scale, while two global-mode gates of 1e160 take amplitudes of 1e-300 to
 1e20 one at a time but would make a block of 1e320.  The window of 4 was
@@ -202,12 +202,16 @@ class Gate:
     def __init__(self, matrix=None, kind: str | None = None, name: str = "custom",
                  condition_override: bool = False):
         self.name = name
+        self.condition_override = condition_override
         if kind in ("nonlinear-W", "nonlinear-G"):
             self.kind = kind
             self.matrix = None
             self.arity = 1
             self.controlled = None
             return
+        if kind not in (None, "unitary", "invertible"):
+            raise ValueError(f"unknown gate kind {kind!r}; the kinds are unitary, "
+                             "invertible, nonlinear-W and nonlinear-G")
         if matrix is None:
             raise ValueError("matrix gates need a matrix")
         m = np.asarray(matrix, dtype=np.complex128)
@@ -327,12 +331,6 @@ class StateVector:
     def normalized(self) -> "StateVector":
         return StateVector(self.amplitudes / self.norm(2.0))
 
-    def bit(self, index: int, qubit: int) -> int:
-        return (index >> (self.num_qubits - 1 - qubit)) & 1
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy())
-
     def __repr__(self):
         return f"StateVector(n={self.num_qubits})"
 
@@ -442,35 +440,8 @@ def _apply_controlled(amps: np.ndarray, c: int, bit: int, lo: int, m: np.ndarray
 
 def apply_gate(state: StateVector, gate: Gate, targets: Sequence[int],
                mode: NormalizationMode = NormalizationMode.UNITARY) -> StateVector:
-    """Apply a matrix gate to ``targets`` under the given normalization mode."""
-    if isinstance(mode, str):
-        mode = NormalizationMode(mode)
-    targets = _check_targets(state.num_qubits, targets, gate.arity)
-    if gate.matrix is None:
-        if mode is not NormalizationMode.GLOBAL:
-            raise NonUnitaryInModeI(
-                "nonlinear gates are not unitary; use global mode")
-        return apply_nonlinear(state, gate.kind, targets[0])
-    if mode is NormalizationMode.UNITARY and gate.kind != "unitary":
-        raise NonUnitaryInModeI(f"mode 'unitary' rejects kind '{gate.kind}'")
-
-    m = gate.matrix
-    if gate.arity == 1:   # the k = 1 case of the block kernel
-        v = _target_view(state.amplitudes, targets[0])
-        new = _apply_block(v, m)
-        if mode is NormalizationMode.LOCAL:
-            new = _rescale_branches(v, new)
-        return StateVector(new.reshape(-1))
-    if (gate.controlled is not None and gate.kind == "unitary"
-            and mode is not NormalizationMode.LOCAL):
-        bit, u = gate.controlled
-        return StateVector(_apply_controlled(state.amplitudes, targets[0], bit, targets[1], u))
-
-    cols, shape = _target_columns(state, targets)
-    new_cols = m @ cols
-    if mode is NormalizationMode.LOCAL:
-        new_cols = _rescale_branches(cols, new_cols)
-    return StateVector(_columns_to_amps(new_cols, shape, targets))
+    """Apply a gate to ``targets`` under ``mode``: a circuit of that one step."""
+    return run_circuit(Circuit(state.num_qubits).gate(gate, targets, mode), state)
 
 
 # I_b for the GEMM (b <= GEMM_MAX / 2) and I_2 for an idle qubit in a fused block
@@ -612,9 +583,21 @@ _NAMED_GATES: dict[str, Callable[[], Gate]] = {
 
 @dataclass(frozen=True)
 class GateStep:
+    """A gate on its targets under a mode: the one place a step's mode is
+    normalised and its gate's kind admitted.  Targets wait for ``_check_run``."""
+
     gate: Gate
     targets: tuple[int, ...]
     mode: NormalizationMode = NormalizationMode.UNITARY
+
+    def __post_init__(self):
+        # the enum call alone takes about 0.5 us (Python 3.11, Xeon VM); skip it when it can
+        if self.mode.__class__ is not NormalizationMode:
+            object.__setattr__(self, "mode", NormalizationMode(self.mode))
+        if self.gate.matrix is None and self.mode is not NormalizationMode.GLOBAL:
+            raise NonUnitaryInModeI("nonlinear gates are not unitary; use global mode")
+        if self.mode is NormalizationMode.UNITARY and self.gate.kind != "unitary":
+            raise NonUnitaryInModeI(f"mode 'unitary' rejects kind '{self.gate.kind}'")
 
 
 @dataclass(frozen=True)
@@ -630,10 +613,8 @@ class Circuit:
 
     def gate(self, gate: Gate, targets: Iterable[int],
              mode: NormalizationMode | str = NormalizationMode.UNITARY) -> "Circuit":
-        if isinstance(mode, str):
-            mode = NormalizationMode(mode)
-        targets = _check_targets(self.num_qubits, targets, gate.arity)
-        self.steps.append(GateStep(gate, targets, mode))
+        self.steps.append(GateStep(gate, _check_targets(self.num_qubits, targets, gate.arity),
+                                   mode))
         return self
 
     def postselect(self, qubit: int, bit: int) -> "Circuit":
@@ -647,13 +628,12 @@ class Circuit:
             if isinstance(step, PostselectStep):
                 steps.append({"postselect": {"qubit": step.qubit, "bit": step.bit}})
                 continue
-            entry: dict = {"targets": list(step.targets), "mode": step.mode.value}
-            name = step.gate.name
-            if name in _NAMED_GATES:
-                entry["gate"] = name
-            else:
-                entry["gate"] = "custom"
+            entry: dict = {"targets": list(step.targets), "mode": step.mode.value,
+                           "gate": _tag(step.gate)}
+            if entry["gate"] == "custom":
                 entry["matrix"] = matrix_to_json(step.gate.matrix)
+                if step.gate.condition_override:
+                    entry["condition_override"] = True
             steps.append(entry)
         return {"qubits": self.num_qubits, "steps": steps}
 
@@ -685,16 +665,34 @@ class Circuit:
         return cls.from_json_dict(json.loads(text))
 
 
+def _tag(gate: Gate) -> str:
+    """A circuit file's tag for ``gate``: its name if it is that built-in, else "custom"."""
+    if gate.matrix is None:   # a nonlinear gate is its kind's built-in, whatever its name
+        return gate.kind.removeprefix("nonlinear-")
+    ref = _NAMED_GATES[gate.name]() if gate.name in _NAMED_GATES else None
+    same = ref is not None and ref.kind == gate.kind and np.array_equal(ref.matrix, gate.matrix)
+    return gate.name if same else "custom"
+
+
+def _check_run(n: int, steps, initial) -> None:
+    """Both evaluators' one pre-run check: each step's qubits, then the initial size."""
+    for step in steps:
+        if isinstance(step, PostselectStep):
+            _check_postselect(n, step.qubit, step.bit)
+        else:
+            _check_targets(n, step.targets, step.gate.arity)
+    if isinstance(initial, StateVector) and initial.num_qubits != n:
+        raise ValueError("initial state size does not match circuit")
+
+
 def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Run the steps in order, each run of fusable steps as one block gate."""
-    n = circuit.num_qubits
-    state = initial if initial is not None else StateVector.ground(n)
-    if state.num_qubits != n:
-        raise ValueError("initial state size does not match circuit")
+    _check_run(circuit.num_qubits, circuit.steps, initial)
+    state = initial if initial is not None else StateVector.ground(circuit.num_qubits)
     run: dict[int, np.ndarray] = {}   # target -> product of the run's matrices on it
     control = None                     # (qubit, bit) the run is controlled on, or None
     for step in circuit.steps:
-        fused = _fusion(n, step)
+        fused = _fusion(step)
         if fused is not None:
             ctl, q, m = fused
             if run and (ctl != control or max(*run, q) - min(*run, q) >= FUSE_WINDOW):
@@ -702,30 +700,47 @@ def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVe
             control = ctl
             run[q] = m @ run[q] if q in run else m
             continue
+        # the run's input register is freed before the step runs: two registers at peak, not three
         state, run = _apply_run(state, run, control), {}
-        if isinstance(step, PostselectStep):
-            state = postselect(state, step.qubit, step.bit)
-        else:
-            state = apply_gate(state, step.gate, step.targets, step.mode)
+        state = _run_step(state, step)
     return _apply_run(state, run, control)
 
 
-def _fusion(n: int, step):
+def _run_step(state: StateVector, step) -> StateVector:
+    """One checked step that ``_fusion`` does not take: postselection, a
+    nonlinear map, or a matrix gate through the kernel."""
+    if isinstance(step, PostselectStep):
+        return postselect(state, step.qubit, step.bit)
+    gate, targets, local = step.gate, step.targets, step.mode is NormalizationMode.LOCAL
+    if gate.matrix is None:
+        return apply_nonlinear(state, gate.kind, targets[0])
+    if gate.arity == 1:   # the k = 1 case of the block kernel
+        v = _target_view(state.amplitudes, targets[0])
+        new = _apply_block(v, gate.matrix)
+        if local:
+            new = _rescale_branches(v, new)
+        return StateVector(new.reshape(-1))
+    cols, shape = _target_columns(state, targets)
+    new_cols = gate.matrix @ cols
+    if local:
+        new_cols = _rescale_branches(cols, new_cols)
+    return StateVector(_columns_to_amps(new_cols, shape, targets))
+
+
+def _fusion(step):
     """(control, target, matrix) of a step that joins a run, else None.
 
     A one-target unitary gate (control None), or a unitary gate controlled
     on targets[0] (control (qubit, bit), its U on targets[1]), in unitary or
     global mode."""
     if not (isinstance(step, GateStep) and step.gate.kind == "unitary"
-            and NormalizationMode(step.mode) is not NormalizationMode.LOCAL):
+            and step.mode is not NormalizationMode.LOCAL):
         return None
     if step.gate.arity == 1:
-        (q,) = _check_targets(n, step.targets, 1)
-        return None, q, step.gate.matrix
+        return None, step.targets[0], step.gate.matrix
     if step.gate.controlled is None:
         return None
-    c, q = _check_targets(n, step.targets, 2)
-    bit, u = step.gate.controlled
+    (bit, u), (c, q) = step.gate.controlled, step.targets
     return (c, bit), q, u
 
 

@@ -7,11 +7,13 @@ matrix entries are pruned), so memory grows linearly with circuit depth and
 never with register width.  Time is exponential in the number of branching
 gates; the point of this evaluator is the memory profile, not speed.
 
-Each call lays out every step once, in a table of its target bits
-(``_step_table``, which checks the targets as ``run_circuit`` does), so a
-node finds its output assignment and its parents by masking the basis
-index.  The recursion takes one stack frame per step; past the
-interpreter's recursion limit it raises ``PathSumTooDeep``.
+A step's mode and kind were checked when it was made (``GateStep``), and
+its targets pass ``run_circuit``'s own pre-run check, so the two evaluators
+refuse the same circuits with the same errors.  Each call lays out every
+step once, in a table of its target bits (``_step_table``), so a node finds
+its output assignment and its parents by masking the basis index.  The
+recursion takes one stack frame per step; past the interpreter's recursion
+limit it raises ``PathSumTooDeep``.
 
 Local-mode steps are supported: the branch rescaling factor depends only on
 the same 2^arity parents as the linear action, and it is computed by the
@@ -32,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import (_PAIR_MAPS, AmplitudeOverflow, Circuit, GateStep,
-                     NormalizationMode, PostselectStep, StateVector, _check_targets,
+                     NormalizationMode, PostselectStep, StateVector, _check_run,
                      _overflow_message, _rescale_branches, basis_index)
 
 InitialAmplitude = Callable[[int], complex]
@@ -58,21 +60,17 @@ def amplitude_recursive(circuit: Circuit, x: int | str, t: int | None = None,
     """
     n = circuit.num_qubits
     steps = circuit.steps if t is None else circuit.steps[:t]
+    _check_run(n, steps, initial)
+    if any(isinstance(step, PostselectStep) for step in steps):
+        raise ValueError("postselection steps renormalize globally and are not "
+                         "supported by the recursive evaluator")
     tables = [_step_table(n, step) for step in steps]
 
-    if initial is None:
-        initial_fn: InitialAmplitude = ground_amplitude
-    elif isinstance(initial, StateVector):
-        if initial.num_qubits != n:
-            raise ValueError("initial state size does not match circuit")
-        amps = initial.amplitudes
-        initial_fn = lambda idx: complex(amps[idx])
-    else:
-        initial_fn = initial
-
+    if isinstance(initial, StateVector):
+        initial = initial.amplitudes.__getitem__
     index = basis_index(n, x)
     try:
-        return _amp(tables, len(tables), index, initial_fn)
+        return _amp(tables, len(tables), index, ground_amplitude if initial is None else initial)
     except RecursionError as exc:
         raise PathSumTooDeep(f"{len(tables)} steps, one stack frame each, ran past "
                              f"the recursion limit of {sys.getrecursionlimit()}") from exc
@@ -82,12 +80,8 @@ def _step_table(n: int, step: GateStep) -> tuple:
     """(step, mask, bits, assignment): ``bits[a]`` holds the index bits of
     target assignment a (targets[0] most significant), ``mask`` all of them,
     and ``assignment`` maps ``index & mask`` back to a."""
-    if isinstance(step, PostselectStep):
-        raise ValueError(
-            "postselection steps renormalize globally and are not supported "
-            "by the recursive evaluator")
     bits = [0]
-    for q in _check_targets(n, step.targets, step.gate.arity):
+    for q in step.targets:
         bits = [b | bit for b in bits for bit in (0, 1 << (n - 1 - q))]
     return step, bits[-1], bits, {b: a for a, b in enumerate(bits)}
 

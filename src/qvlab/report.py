@@ -28,19 +28,11 @@ from typing import Any, Iterator
 import numpy as np
 
 
-def complex_to_json(z: complex) -> list[float]:
-    return _jsonable(complex(z))
-
-
 def json_to_complex(pair: Any) -> complex:
     if isinstance(pair, (int, float)):
         return complex(pair)
     re, im = pair
     return complex(re, im)
-
-
-def vector_to_json(v: np.ndarray) -> list[list[float]]:
-    return _jsonable(np.ravel(v).astype(np.complex128))
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:

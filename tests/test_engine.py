@@ -366,12 +366,12 @@ def test_fused_runs_match_step_by_step(n, barrier):
 
 
 def test_fusion_keeps_step_checks_and_fuses_unitaries_only():
-    # an invertible gate in a unitary-mode step inside a run is still refused
-    circuit = (Circuit(3).gate(hadamard(), [0]).gate(Gate(np.diag([1.0, 0.5])), [1])
-               .gate(hadamard(), [2]))
+    # an invertible gate in a unitary-mode step inside a run is refused when
+    # the step is made, so no run ever holds it
+    circuit = Circuit(3).gate(hadamard(), [0])
     with pytest.raises(NonUnitaryInModeI, match="mode 'unitary' rejects kind 'invertible'"):
-        run_circuit(circuit)
-    # a step appended by hand is checked as apply_gate checks it
+        circuit.gate(Gate(np.diag([1.0, 0.5])), [1])
+    # a step appended by hand is checked before the run starts
     circuit = Circuit(3).gate(hadamard(), [0])
     circuit.steps.append(GateStep(hadamard(), (3,)))
     with pytest.raises(ValueError, match="qubit 3 is out of range for 3 qubits"):
@@ -408,6 +408,13 @@ def test_condition_guard():
     g = Gate(np.diag([1.0, 1e-15]), condition_override=True)
     out = apply_gate(StateVector(np.array([1.0, 1.0])), g, [0], "global")
     assert out.amplitudes[1] == pytest.approx(1e-15)
+
+
+def test_gate_rejects_an_unknown_kind():
+    # an unknown kind would skip both the unitary check and the condition
+    # guard, and then run as a global-mode gate
+    with pytest.raises(ValueError, match="unitary, invertible, nonlinear-W and nonlinear-G"):
+        Gate(np.diag([1, 1e-15]), kind="bogus")
 
 
 def test_overflowing_gram_makes_a_gate_invertible():
@@ -648,6 +655,35 @@ def test_circuit_json_round_trip():
     data = json.loads(text)
     assert data["qubits"] == 2
     assert data["steps"][3] == {"postselect": {"qubit": 0, "bit": 1}}
+
+
+def test_circuit_json_names_a_built_in_only_when_the_gate_is_one():
+    # a matrix gate named "X" or "W" is written with its matrix, so it reads
+    # back as itself: not as Pauli X (amplitude i would become 1), nor as
+    # the nonlinear W
+    fake_x = Gate([[0, 1j], [1j, 0]], name="X")
+    fake_w = Gate(np.diag([1.0, 1j]), name="W")
+    circuit = Circuit(1).gate(fake_x, [0])
+    again = Circuit.from_json(circuit.to_json())
+    assert run_circuit(again).amplitudes[1] == 1j
+    # and a nonlinear gate has no matrix to write: it is its kind's built-in
+    square = Gate(kind="nonlinear-G", name="square")
+    circuit.gate(fake_w, [0]).gate(pauli_x(), [0]).gate(phase_twist_gate(), [0], "global")
+    circuit.gate(square, [0], "global")
+    data = json.loads(circuit.to_json())
+    assert [step["gate"] for step in data["steps"]] == ["custom", "custom", "X", "W", "G"]
+    again = Circuit.from_json(circuit.to_json())
+    assert again.to_json() == circuit.to_json()
+    assert np.array_equal(run_circuit(again).amplitudes, run_circuit(circuit).amplitudes)
+
+
+def test_circuit_json_keeps_the_condition_override():
+    # without the flag in the file, reading it back raises IllConditionedGate
+    forced = Gate(np.diag([1.0, 1e-15]), condition_override=True)
+    text = Circuit(1).gate(forced, [0], "global").to_json()
+    assert json.loads(text)["steps"][0]["condition_override"] is True
+    again = Circuit.from_json(text)
+    assert again.steps[0].gate.condition_override and again.to_json() == text
 
 
 def test_circuit_json_rejects_unknown_gate():

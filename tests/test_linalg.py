@@ -251,6 +251,15 @@ def test_haar_samplers():
         assert np.linalg.det(so) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_haar_special_orthogonal_at_one_is_plus_one():
+    # O(1) is {+1, -1}: a draw of -1 comes back negated, never as a reflection
+    draws = [haar_orthogonal(1, np.random.default_rng(seed))[0, 0] for seed in range(8)]
+    assert -1.0 in draws and 1.0 in draws
+    for seed in range(8):
+        so = haar_special_orthogonal(1, np.random.default_rng(seed))
+        assert so.shape == (1, 1) and so[0, 0] == 1.0
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_stacked_haar_draw_matches_one_at_a_time(n):
     # island_scan draws its Haar ensemble as one stack; the scans reach n = 4
@@ -267,6 +276,15 @@ def test_is_unitary_tolerance():
     assert is_unitary(u)
     u[0, 1] = 1e-6
     assert not is_unitary(u)
+
+
+def test_is_unitary_wants_a_square_matrix():
+    # a 4x2 isometry has orthonormal columns, so its Gram residual is at
+    # rounding level, but only a square matrix is unitary
+    rng = np.random.default_rng(42)
+    iso, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+    assert np.abs(iso.conj().T @ iso - np.eye(2)).max() < 1e-12
+    assert not is_unitary(iso)
 
 
 @pytest.mark.parametrize("scale", [1e154, 1e160, 1e300])

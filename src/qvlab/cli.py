@@ -5,9 +5,10 @@ the parsed configuration, the seed, the tool version, and a pass flag
 (``simulate --format csv`` prints a CSV table of the state instead).
 Identical arguments and seed produce byte-identical output; there are no
 timestamps.  Reports are strict JSON, written by ``report.json_text``.
-Exit codes: 0 success/pass, 1 a check failed (details and witnesses stay
-in the report), 2 usage or input errors, including a report value that is
-NaN or infinite (``report.NonFiniteReport``).
+Each subcommand's handler returns its report body and pass flag; ``main``
+alone writes the report and picks the exit code: 0 success/pass, 1 a check
+failed (details and witnesses stay in the report), 2 usage or input errors,
+including a report value that is NaN or infinite (``report.NonFiniteReport``).
 """
 from __future__ import annotations
 
@@ -68,17 +69,9 @@ def _write(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------- simulate
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[dict | None, bool]:
     circuit = engine.Circuit.from_json(Path(args.circuit).read_text())
     state = engine.run_circuit(circuit)
     dist = engine.measure_distribution(state, args.p)
@@ -99,15 +92,16 @@ def _cmd_simulate(args) -> int:
         if args.trials:
             header.append("count")
             columns.append(body["sample_counts"].tolist())
-        _write(args, _csv_text(header, zip(*columns)))
-        return 0
-    _emit(args, body, True)
-    return 0
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([header, *zip(*columns)])
+        _write(args, text.getvalue())
+        return None, True
+    return body, True
 
 
 # -------------------------------------------------------------- check-norm
 
-def _cmd_check_norm(args) -> int:
+def _cmd_check_norm(args) -> tuple[dict, bool]:
     # the formal expansion reads neither flag, so it takes neither
     numeric_only = args.nonnegative or args.convention != "modulus"
     if args.mode == "formal" and numeric_only:
@@ -134,35 +128,26 @@ def _cmd_check_norm(args) -> int:
         "permutation": gd.permutation,
         "details": verdict.details,
     }
-    _emit(args, body, verdict.preserves)
-    return 0 if verdict.preserves else 1
+    return body, verdict.preserves
 
 
 # ----------------------------------------------------------------- postbqp
 
-def _cmd_postbqp(args) -> int:
+def _cmd_postbqp(args) -> tuple[dict, bool]:
     f = postbqp.BooleanFunction.from_file(args.truth_table)
     decision = postbqp.postbqp_decide(f, mode=args.mode, seed=args.seed,
                                       trials=args.trials)
-    body = decision.to_dict()
-    body["n"] = f.num_inputs
-    body["ones_count"] = f.ones_count
-    _emit(args, body, True)
-    return 0
+    return {**decision.to_dict(), "n": f.num_inputs, "ones_count": f.ones_count}, True
 
 
-def _cmd_or_solve(args) -> int:
+def _cmd_or_solve(args) -> tuple[dict, bool]:
     f = postbqp.BooleanFunction.from_file(args.truth_table)
-    decision = postbqp.or_solve_nonunitary(f)
-    body = decision.to_dict()
-    body["n"] = f.num_inputs
-    _emit(args, body, True)
-    return 0
+    return {**postbqp.or_solve_nonunitary(f).to_dict(), "n": f.num_inputs}, True
 
 
 # ------------------------------------------------------------------ gadget
 
-def _cmd_gadget(args) -> int:
+def _cmd_gadget(args) -> tuple[dict, bool]:
     if args.state:
         data = json.loads(Path(args.state).read_text())
         if isinstance(data, dict):
@@ -174,20 +159,17 @@ def _cmd_gadget(args) -> int:
                                               args.m, bit=args.bit)
     marg = engine.marginal_distribution(grown, [args.qubit],
                                         engine.MeasurementRule(args.p))
-    body = rep.to_dict()
-    body["qubit_marginal"] = marg
-    body["grown_qubits"] = grown.num_qubits
+    body = {**rep.to_dict(), "qubit_marginal": marg, "grown_qubits": grown.num_qubits}
     # compared as log2 exponents: the linear factors underflow at large p
     ok = (rep.measured_log2 is not None
           and abs(rep.measured_log2 - rep.closed_form_log2)
           <= args.tol * max(1.0, abs(rep.closed_form_log2)))
-    _emit(args, body, ok)
-    return 0 if ok else 1
+    return body, ok
 
 
 # ------------------------------------------------------------- discriminate
 
-def _cmd_discriminate(args) -> int:
+def _cmd_discriminate(args) -> tuple[dict, bool]:
     setup = protocols.build_discrimination_setup(args.d, args.p)
     error = protocols.discrimination_error(setup, args.j)
     body = {
@@ -207,20 +189,19 @@ def _cmd_discriminate(args) -> int:
         mc = protocols.sample_discrimination(setup, args.j, args.trials, args.seed)
         body["monte_carlo"] = mc
         passed = passed and mc["within_3_sigma"]
-    _emit(args, body, passed)
-    return 0 if passed else 1
+    return body, passed
 
 
 # ------------------------------------------------------------------ signal
 
-def _cmd_signal(args) -> int:
+def _cmd_signal(args) -> tuple[dict, bool]:
     if args.scenario == "ii":
         rep = protocols.signalling_option_ii(args.epsilon)
         passed = abs(rep.tvd - rep.extras["tvd_closed_form"]) <= args.tol
     elif args.scenario == "multi":
         rep = protocols.signalling_multistate_ii(args.d, args.p, args.epsilon)
         passed = rep.bits > 0
-    elif args.scenario == "i":
+    else:   # "i"; argparse's choices admit no other scenario
         rep = protocols.signalling_option_i(args.p, args.d, args.pairs)
         passed = rep.tvd > 0
         if args.trials:
@@ -229,15 +210,12 @@ def _cmd_signal(args) -> int:
                 seed=args.seed)
             rep.extras["monte_carlo"] = mc
             passed = passed and mc["error_rate"] <= 1.5 * rep.extras["target_error"]
-    else:
-        raise ValueError(f"unknown scenario {args.scenario!r}")
-    _emit(args, rep.to_dict(), passed)
-    return 0 if passed else 1
+    return rep.to_dict(), passed
 
 
 # -------------------------------------------------------------------- sqrt
 
-def _cmd_sqrt(args) -> int:
+def _cmd_sqrt(args) -> tuple[dict, bool]:
     matrix = _load_matrix(args.matrix)
     if not np.any(matrix.imag):
         matrix = matrix.real   # so --field auto picks the real group
@@ -248,19 +226,17 @@ def _cmd_sqrt(args) -> int:
         result = roots.kth_root_scan(matrix, args.k, field)
     body = result.to_dict()
     passed = result.exists and (result.residual or 0.0) <= roots.RESIDUAL_TOL
-    _emit(args, body, passed)
-    return 0 if passed else 1
+    return body, passed
 
 
 # ------------------------------------------------------------- island-scan
 
-def _cmd_island_scan(args) -> int:
+def _cmd_island_scan(args) -> tuple[dict, bool]:
     report = normlaws.island_scan(args.n, args.p, num_matrices=args.matrices,
                                   seed=args.seed, tol=args.tol,
                                   trials=args.trials,
                                   nonnegative=args.nonnegative)
-    _emit(args, report.to_dict(), report.passed)
-    return 0 if report.passed else 1
+    return report.to_dict(), report.passed
 
 
 # ------------------------------------------------------------------ parser
@@ -359,10 +335,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        body, passed = args.func(args)
+        if body is not None:   # None: the handler wrote its own text (simulate --format csv)
+            _emit(args, body, passed)
     except _USAGE_ERRORS as exc:
         print(f"qvlab {args.cmd}: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -115,12 +115,15 @@ Two nonlinear single-qubit maps act branchwise on (target=0, target=1)
 amplitude pairs with no renormalization: the phase-twist map
 (x, y) -> (x, e^{iy} y) and the quadratic map (x, y) -> (x^2 - conj(y)^2,
 2 Re(x y)).  ``phase_twist_map`` and ``quadratic_map`` take scalars or
-arrays, and ``_PAIR_MAPS`` picks one by gate kind for both ``apply_nonlinear``
-and the path sum.  How a 2-component nonlinear map should act on an
-entangled register is a modeling choice; branchwise application is the one
-used throughout this package.  Nonlinear steps are only accepted in global
-mode.  Where a map sends finite amplitudes to inf or NaN (G squares them,
-so from about 1e154 up), both evaluators raise ``AmplitudeOverflow``.
+arrays, and ``_PAIR_MAPS`` picks one by gate kind for both evaluators.  How
+a 2-component nonlinear map should act on an entangled register is a
+modeling choice; branchwise application is the one used throughout this
+package.  Nonlinear steps are only accepted in global mode.  One overflow
+rule holds per pair: a map that sends a pair of finite amplitudes to inf or
+NaN (G squares them, so from about 1e154 up) raises ``AmplitudeOverflow``,
+for every pair in the register here, for every pair on the amplitude's path
+in the path sum.  ``apply_gate``, ``apply_nonlinear`` and ``postselect`` are
+one-step circuits, so ``_run_step`` and ``_apply_run`` make every register.
 
 States are never silently renormalized and the all-zero state is rejected
 wherever it would arise; measurement is scale invariant, so unnormalized
@@ -131,6 +134,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -161,8 +165,8 @@ class AmplitudeOverflow(ArithmeticError):
     """A nonlinear map sent finite amplitudes to infinite or NaN ones.
 
     G squares its amplitudes, so it overflows from about 1e154 up; W
-    exponentiates their imaginary parts.  The engine and the path sum both
-    raise this where the map's output leaves the finite range.
+    exponentiates their imaginary parts.  Both evaluators raise this by one
+    per-pair rule (module docstring).
     """
 
 
@@ -292,9 +296,8 @@ def quadratic_map(x, y):
     return x * x - np.conj(y) ** 2, 2.0 * (x * y).real
 
 
-# the pair map of each nonlinear kind, under its gate kind and its JSON tag
-_PAIR_MAPS = {"nonlinear-W": phase_twist_map, "W": phase_twist_map,
-              "nonlinear-G": quadratic_map, "G": quadratic_map}
+# the pair map of each nonlinear gate kind
+_PAIR_MAPS = {"nonlinear-W": phase_twist_map, "nonlinear-G": quadratic_map}
 
 
 class StateVector:
@@ -364,17 +367,27 @@ def _check_qubits(n: int, qubits: Iterable[int]) -> tuple[int, ...]:
 
 
 def _check_qubit(n: int, qubit: int) -> int:
-    qubit = int(qubit)
+    qubit = _index(qubit)
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} is out of range for {n} qubits")
     return qubit
 
 
-def _check_postselect(n: int, qubit: int, bit: int) -> tuple[int, int]:
-    qubit, bit = _check_qubit(n, qubit), int(bit)
+def _check_bit(bit: int, what: str) -> int:
+    bit = _index(bit, what)
     if bit not in (0, 1):   # -1 would index the bit-1 branch
-        raise ValueError(f"postselected bit must be 0 or 1, got {bit}")
-    return qubit, bit
+        raise ValueError(f"{what} must be 0 or 1, got {bit}")
+    return bit
+
+
+def _index(value, what: str = "qubit") -> int:
+    """A qubit or bit as an int: an int, numpy int or integral float, else ValueError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{what} {value!r} is not an integer")
 
 
 def _target_columns(state: StateVector, targets: tuple[int, ...]) -> np.ndarray:
@@ -510,17 +523,13 @@ def _line_sums(a: np.ndarray) -> np.ndarray:
 
 
 def apply_nonlinear(state: StateVector, kind: str, target: int) -> StateVector:
-    """Apply a nonlinear pair map branchwise to one qubit.  No renormalization."""
-    targets = _check_targets(state.num_qubits, [target], 1)
-    if kind not in _PAIR_MAPS:
+    """Apply a nonlinear pair map branchwise to one qubit, as a circuit of
+    that one global-mode step.  No renormalization.  ``kind`` is a gate kind
+    ("nonlinear-W", "nonlinear-G") or its JSON tag ("W", "G")."""
+    if kind not in ("W", "G", "nonlinear-W", "nonlinear-G"):
         raise ValueError(f"unknown nonlinear kind {kind!r}")
-    v = _target_view(state.amplitudes, targets[0])
-    out = np.empty_like(v)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[:, 0], out[:, 1] = _PAIR_MAPS[kind](v[:, 0], v[:, 1])
-    if not np.isfinite(out).all() and np.isfinite(v).all():
-        raise AmplitudeOverflow(_overflow_message(kind))
-    return StateVector(out.reshape(-1))
+    gate = _NAMED_GATES[kind.removeprefix("nonlinear-")]()
+    return run_circuit(Circuit(state.num_qubits).gate(gate, [target], "global"), state)
 
 
 def _overflow_message(kind: str) -> str:
@@ -549,18 +558,12 @@ def marginal_distribution(state: StateVector, qubits: Sequence[int],
 
 
 def postselect(state: StateVector, qubit: int, bit: int) -> StateVector:
-    """Project onto qubit == bit and renormalize to unit 2-norm.
+    """Project onto qubit == bit and renormalize to unit 2-norm, as a circuit
+    of that one step.
 
     The branch weight is a scale-safe 2-norm, so any amplitude scale works.
     """
-    qubit, bit = _check_postselect(state.num_qubits, qubit, bit)
-    split = _target_view(state.amplitudes, qubit)
-    weight = p_norm(split[:, bit], 2.0)
-    if weight == 0.0:
-        raise ZeroProbabilityBranch(f"no amplitude on qubit {qubit} == {bit}")
-    amps = np.zeros_like(split)
-    amps[:, bit] = split[:, bit] / weight
-    return StateVector(amps.reshape(-1))
+    return run_circuit(Circuit(state.num_qubits).postselect(qubit, bit), state)
 
 
 def sample(state: StateVector, rule: MeasurementRule | float = 2.0,
@@ -583,14 +586,16 @@ _NAMED_GATES: dict[str, Callable[[], Gate]] = {
 
 @dataclass(frozen=True)
 class GateStep:
-    """A gate on its targets under a mode: the one place a step's mode is
-    normalised and its gate's kind admitted.  Targets wait for ``_check_run``."""
+    """A gate on its targets under a mode: the one place a step's targets are
+    made ints, its mode normalised and its gate's kind admitted.  Their
+    range waits for ``_check_run``."""
 
     gate: Gate
     targets: tuple[int, ...]
     mode: NormalizationMode = NormalizationMode.UNITARY
 
     def __post_init__(self):
+        object.__setattr__(self, "targets", tuple(map(_index, self.targets)))
         # the enum call alone takes about 0.5 us (Python 3.11, Xeon VM); skip it when it can
         if self.mode.__class__ is not NormalizationMode:
             object.__setattr__(self, "mode", NormalizationMode(self.mode))
@@ -602,8 +607,14 @@ class GateStep:
 
 @dataclass(frozen=True)
 class PostselectStep:
+    """Postselection on qubit == bit; the qubit's range waits for ``_check_run``."""
+
     qubit: int
     bit: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "qubit", _index(self.qubit))
+        object.__setattr__(self, "bit", _check_bit(self.bit, "postselected bit"))
 
 
 @dataclass
@@ -618,7 +629,7 @@ class Circuit:
         return self
 
     def postselect(self, qubit: int, bit: int) -> "Circuit":
-        self.steps.append(PostselectStep(*_check_postselect(self.num_qubits, qubit, bit)))
+        self.steps.append(PostselectStep(_check_qubit(self.num_qubits, qubit), bit))
         return self
 
     def to_json_dict(self) -> dict:
@@ -644,7 +655,7 @@ class Circuit:
         for step in data.get("steps", []):
             if "postselect" in step:
                 ps = step["postselect"]
-                circuit.postselect(int(ps["qubit"]), int(ps["bit"]))
+                circuit.postselect(ps["qubit"], ps["bit"])
                 continue
             name = step["gate"]
             if name in _NAMED_GATES:
@@ -678,7 +689,7 @@ def _check_run(n: int, steps, initial) -> None:
     """Both evaluators' one pre-run check: each step's qubits, then the initial size."""
     for step in steps:
         if isinstance(step, PostselectStep):
-            _check_postselect(n, step.qubit, step.bit)
+            _check_qubit(n, step.qubit)
         else:
             _check_targets(n, step.targets, step.gate.arity)
     if isinstance(initial, StateVector) and initial.num_qubits != n:
@@ -710,10 +721,23 @@ def _run_step(state: StateVector, step) -> StateVector:
     """One checked step that ``_fusion`` does not take: postselection, a
     nonlinear map, or a matrix gate through the kernel."""
     if isinstance(step, PostselectStep):
-        return postselect(state, step.qubit, step.bit)
+        split = _target_view(state.amplitudes, step.qubit)
+        weight = p_norm(split[:, step.bit], 2.0)
+        if weight == 0.0:
+            raise ZeroProbabilityBranch(f"no amplitude on qubit {step.qubit} == {step.bit}")
+        amps = np.zeros_like(split)
+        amps[:, step.bit] = split[:, step.bit] / weight
+        return StateVector(amps.reshape(-1))
     gate, targets, local = step.gate, step.targets, step.mode is NormalizationMode.LOCAL
-    if gate.matrix is None:
-        return apply_nonlinear(state, gate.kind, targets[0])
+    if gate.matrix is None:   # the pair map on (target=0, target=1), by the per-pair overflow rule
+        v = _target_view(state.amplitudes, targets[0])
+        out = np.empty_like(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[:, 0], out[:, 1] = _PAIR_MAPS[gate.kind](v[:, 0], v[:, 1])
+        if not np.isfinite(out).all() and np.any(
+                np.isfinite(v).all(axis=1) & ~np.isfinite(out).all(axis=1)):
+            raise AmplitudeOverflow(_overflow_message(gate.kind))
+        return StateVector(out.reshape(-1))
     if gate.arity == 1:   # the k = 1 case of the block kernel
         v = _target_view(state.amplitudes, targets[0])
         new = _apply_block(v, gate.matrix)

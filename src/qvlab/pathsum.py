@@ -19,8 +19,11 @@ Local-mode steps are supported: the branch rescaling factor depends only on
 the same 2^arity parents as the linear action, and it is computed by the
 dense engine's own scale-safe rescale (``engine._rescale_branches``) on that
 one branch.  Nonlinear steps use the engine's pair maps (``engine._PAIR_MAPS``),
-so the two evaluators share one formula for each; both raise
-``AmplitudeOverflow`` where a map sends finite amplitudes to inf or NaN.
+so the two evaluators share one formula for each and one overflow rule,
+per pair: a node raises ``AmplitudeOverflow`` if either output of its pair
+of finite amplitudes is inf or NaN, not only the one it selects.  A pair
+off the amplitude's path is never computed, so where only such a pair
+overflows, the engine raises and the path sum returns the amplitude.
 Postselection steps are not supported: their renormalization divides by a
 weight aggregated over the whole register, which has no constant fan-in
 expression.  Circuits containing postselection steps are rejected.
@@ -98,10 +101,11 @@ def _amp(tables, t: int, index: int, initial_fn: InitialAmplitude) -> complex:
         x = _amp(tables, t - 1, base, initial_fn)
         y = _amp(tables, t - 1, base | bits[1], initial_fn)
         with np.errstate(over="ignore", invalid="ignore"):
-            amp = complex(_PAIR_MAPS[gate.kind](x, y)[out])
-        if not cmath.isfinite(amp) and cmath.isfinite(x) and cmath.isfinite(y):
+            pair = _PAIR_MAPS[gate.kind](x, y)
+        if (not (cmath.isfinite(pair[0]) and cmath.isfinite(pair[1]))
+                and cmath.isfinite(x) and cmath.isfinite(y)):
             raise AmplitudeOverflow(_overflow_message(gate.kind))
-        return amp
+        return complex(pair[out])
 
     m = gate.matrix
     if step.mode is NormalizationMode.LOCAL:

@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import (Circuit, Gate, MeasurementRule, StateVector, apply_gate,
-                     hadamard, marginal_distribution, postselect, run_circuit)
+from .engine import (Circuit, Gate, MeasurementRule, StateVector, _check_bit, _index,
+                     apply_gate, hadamard, marginal_distribution, postselect, run_circuit)
 from .linalg import PEqualsTwo, complete_to_unitary, p_distribution, p_norm
 from .report import fields_to_json
 
@@ -212,6 +212,11 @@ class MajorityDecision:
         return fields_to_json(self)
 
 
+def _verdict(per_i, threshold: float) -> str:
+    """LessThanHalf when some i's value reaches the threshold, else GreaterThanHalf."""
+    return "LessThanHalf" if any(v >= threshold for _, v in per_i) else "GreaterThanHalf"
+
+
 def _check_padding(f: BooleanFunction):
     s = f.ones_count
     if s == 0 or s == 2 ** (f.num_inputs - 1):
@@ -235,21 +240,17 @@ def postbqp_decide(f: BooleanFunction, mode: str = "exact",
     i_values = range(-n, n + 1)
     if mode == "exact":
         per_i = [(i, plus_overlap(s, n, i)) for i in i_values]
-        hit = any(v >= EXACT_THRESHOLD for _, v in per_i)
-        verdict = "LessThanHalf" if hit else "GreaterThanHalf"
-        return MajorityDecision(verdict, per_i, 0, "exact", EXACT_THRESHOLD)
+        return MajorityDecision(_verdict(per_i, EXACT_THRESHOLD), per_i, 0, "exact",
+                                EXACT_THRESHOLD)
     if mode != "sampled":
         raise ValueError("mode must be 'exact' or 'sampled'")
     trials = n if trials is None else int(trials)
     rng = np.random.default_rng(seed)
-    per_i = []
-    for i in i_values:
-        p_plus = plus_overlap(s, n, i) ** 2
-        freq = float(np.mean(rng.random(trials) < p_plus))
-        per_i.append((i, freq))
-    hit = any(v >= SAMPLED_THRESHOLD for _, v in per_i)
-    verdict = "LessThanHalf" if hit else "GreaterThanHalf"
-    return MajorityDecision(verdict, per_i, trials, "sampled", SAMPLED_THRESHOLD)
+    # the plus frequency of each i's draws from its exact outcome law
+    per_i = [(i, float(np.mean(rng.random(trials) < plus_overlap(s, n, i) ** 2)))
+             for i in i_values]
+    return MajorityDecision(_verdict(per_i, SAMPLED_THRESHOLD), per_i, trials, "sampled",
+                            SAMPLED_THRESHOLD)
 
 
 @dataclass
@@ -331,15 +332,17 @@ def gadget_size(p: float, n: int) -> int:
     return math.ceil(10.0 * p * n / abs(2.0 - p))
 
 
-def _branch_pweights(state: StateVector, qubit: int, p: float) -> tuple[float, float]:
-    """log2 of the raw p-weight sums sum |a|^p on the qubit's 1 and 0 branches.
+def _branch_pweights(state: StateVector, qubit: int, p: float,
+                     conditioned: int) -> tuple[float, float]:
+    """log2 of the raw p-weight sums sum |a|^p on the qubit's ``conditioned``
+    branch and on its other branch, in that order.
 
     Raw sums, not a normalized distribution: the certificate divides sums
     taken from the states before and after the gadget.  Each is p log2 of
     the branch's scale-safe p-norm, -inf for an empty branch.
     """
     split = state.amplitudes.reshape(2 ** qubit, 2, -1)
-    norms = (p_norm(split[:, 1], p), p_norm(split[:, 0], p))
+    norms = (p_norm(split[:, conditioned], p), p_norm(split[:, 1 - conditioned], p))
     return tuple(p * math.log2(v) if v > 0 else -math.inf for v in norms)
 
 
@@ -366,13 +369,13 @@ def postselection_gadget(state: StateVector, qubit: int, p: float, m: int,
         raise PEqualsTwo("the gadget is inert at p = 2")
     MeasurementRule(p)   # finite and positive, else NonPositiveP
     m = _ancilla_count(m)
-    n = state.num_qubits
+    n, qubit = state.num_qubits, _index(qubit)
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for a {n}-qubit state")
-    bit = int(bit)
+    bit = _check_bit(bit, "bit")
     conditioned = bit if p < 2 else 1 - bit
 
-    w1_before, w0_before = _branch_pweights(state, qubit, p)
+    cb, ob = _branch_pweights(state, qubit, p, conditioned)
 
     amps = np.zeros(2 ** (n + m), dtype=np.complex128)
     amps[np.arange(state.amplitudes.size) << m] = state.amplitudes
@@ -382,11 +385,7 @@ def postselection_gadget(state: StateVector, qubit: int, p: float, m: int,
         fan_out.gate(cond_h, [qubit, ancilla])
     grown = run_circuit(fan_out, StateVector(amps))
 
-    w1_after, w0_after = _branch_pweights(grown, qubit, p)
-    if conditioned == 1:
-        cb, ob, ca, oa = w1_before, w0_before, w1_after, w0_after
-    else:
-        cb, ob, ca, oa = w0_before, w1_before, w0_after, w1_after
+    ca, oa = _branch_pweights(grown, qubit, p, conditioned)
     # log2 of (ca / oa) / (cb / ob), or of ca / cb without an other branch
     if cb > -math.inf and ob > -math.inf and oa > -math.inf:
         measured = (ca - oa) - (cb - ob)
@@ -448,16 +447,14 @@ def postbqp_decide_pnorm(f: BooleanFunction, p: float,
     carrier_zero = (_carrier_tail() @ np.kron(np.eye(2), rot))[:, :, 0::2]
     states = np.matmul(prefix, carrier_zero.transpose(0, 2, 1))   # (2n+1, 2^n, 4)
 
-    per_i = []
-    for i, state in zip(i_values, states):
-        dist = p_distribution(state.reshape(-1), p, log2_gain)
-        per_i.append((int(i), float(dist[0::2].sum())))   # carrier == 0 after H
+    # each angle's p-norm weight on carrier == 0 after H
+    per_i = [(int(i), float(p_distribution(state.reshape(-1), p, log2_gain)[0::2].sum()))
+             for i, state in zip(i_values, states)]
 
-    hit = any(v >= SAMPLED_THRESHOLD for _, v in per_i)
-    verdict = "LessThanHalf" if hit else "GreaterThanHalf"
     details = {
         "ancillas_per_gadget": m,
         "per_gadget_suppression": 2.0 ** (-m * abs(1.0 - p / 2.0)),
         "gadgets": n + 1,
     }
-    return MajorityDecision(verdict, per_i, 0, "pnorm-gadget", SAMPLED_THRESHOLD, details)
+    return MajorityDecision(_verdict(per_i, SAMPLED_THRESHOLD), per_i, 0, "pnorm-gadget",
+                            SAMPLED_THRESHOLD, details)

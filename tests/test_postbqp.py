@@ -283,6 +283,22 @@ def test_gadget_rejections_and_degenerate_sizes():
     assert report.measured_factor == pytest.approx(1.0)
 
 
+def test_gadget_checks_its_qubit_and_bit():
+    # unchecked, bit 2 fails inside numpy, bit 1.5 runs as 1 and qubit 0.5 raises a TypeError
+    state = StateVector(np.array([0.6, 0.8]))
+    with pytest.raises(ValueError, match=r"^bit must be 0 or 1, got 2$"):
+        postselection_gadget(state, 0, 1.0, 2, bit=2)
+    with pytest.raises(ValueError, match=r"^bit 1\.5 is not an integer$"):
+        postselection_gadget(state, 0, 1.0, 2, bit=1.5)
+    with pytest.raises(ValueError, match=r"^qubit 0\.5 is not an integer$"):
+        postselection_gadget(state, 0.5, 1.0, 2)
+    # integral floats and numpy ints are the ints they equal
+    grown, report = postselection_gadget(state, np.int64(0), 3.0, 2, bit=1.0)
+    want_grown, want = postselection_gadget(state, 0, 3.0, 2, bit=1)
+    assert report == want and np.array_equal(grown.amplitudes, want_grown.amplitudes)
+    assert type(report.favored_bit) is int
+
+
 def test_decide_pnorm_matches_exact_oracle():
     n = 2
     for p in (1.0, 4.0):

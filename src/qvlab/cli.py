@@ -9,11 +9,16 @@ Each subcommand's handler returns its report body and pass flag; ``main``
 alone writes the report and picks the exit code: 0 success/pass, 1 a check
 failed (details and witnesses stay in the report), 2 usage or input errors,
 including a report value that is NaN or infinite (``report.NonFiniteReport``).
+
+The parser is built once per process, on ``main``'s first call (not at
+import), and reused by every later call; ``build_parser`` still returns a
+fresh one.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import importlib.metadata
 import io
 import json
@@ -331,9 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit code.
+
+    The handlers are bound into the parser when it is first built, so a
+    test that changes a subcommand's behaviour patches the library function
+    the handler calls, not ``cli._cmd_*``.
+    """
+    args = _parser().parse_args(argv)
     try:
         body, passed = args.func(args)
         if body is not None:   # None: the handler wrote its own text (simulate --format csv)

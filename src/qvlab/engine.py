@@ -651,7 +651,7 @@ class Circuit:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Circuit":
         from .report import json_to_matrix
-        circuit = cls(int(data["qubits"]))
+        circuit = cls(_index(data["qubits"], "qubits"))
         for step in data.get("steps", []):
             if "postselect" in step:
                 ps = step["postselect"]

@@ -28,11 +28,15 @@ from typing import Any, Iterator
 import numpy as np
 
 
-def json_to_complex(pair: Any) -> complex:
+def json_to_complex(pair: Any, where: str = "value") -> complex:
+    """A real number or an ``[re, im]`` pair of them; else ValueError naming ``where``."""
     if isinstance(pair, (int, float)):
         return complex(pair)
-    re, im = pair
-    return complex(re, im)
+    if type(pair) is list and len(pair) == 2:
+        re, im = pair
+        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
+            return complex(re, im)
+    raise ValueError(f"{where} is {pair!r}, not a real number or an [re, im] pair")
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
@@ -40,12 +44,34 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def json_to_matrix(rows: Any) -> np.ndarray:
-    return np.array([[json_to_complex(z) for z in row] for row in rows],
-                    dtype=np.complex128)
+    """A matrix from a list of equally long rows of ``json_to_complex`` entries;
+    else ValueError naming the first bad row, or entry by row and column."""
+    if not isinstance(rows, list):
+        raise ValueError(f"a matrix is a list of rows, got {rows!r}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise ValueError(f"matrix row {i} is {row!r}, not a list")
+        if len(row) != len(rows[0]):
+            raise ValueError(f"matrix row {i} has length {len(row)}, row 0 has {len(rows[0])}")
+    try:
+        return np.array([[json_to_complex(z) for z in row] for row in rows], dtype=np.complex128)
+    except ValueError:   # name the place only now: formatting it per entry slows valid files
+        for i, row in enumerate(rows):
+            for j, z in enumerate(row):
+                json_to_complex(z, f"matrix row {i}, column {j}")
+        raise
 
 
 def json_to_vector(entries: Any) -> np.ndarray:
-    return np.array([json_to_complex(z) for z in entries], dtype=np.complex128)
+    """A vector from a list of ``json_to_complex`` entries; else ValueError naming the entry."""
+    if not isinstance(entries, list):
+        raise ValueError(f"a vector is a list of entries, got {entries!r}")
+    try:
+        return np.array([json_to_complex(z) for z in entries], dtype=np.complex128)
+    except ValueError:
+        for i, z in enumerate(entries):
+            json_to_complex(z, f"vector entry {i}")
+        raise
 
 
 def _jsonable(obj: Any) -> Any:

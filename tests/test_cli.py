@@ -142,6 +142,25 @@ def test_simulate_overflow_is_usage_error(files, capsys):
     assert err.startswith("qvlab simulate:") and "G map" in err
 
 
+@pytest.mark.parametrize("qubits", [2.5, "2"])
+def test_simulate_register_size_is_an_integer(files, capsys, qubits):
+    # int() ran a "qubits": 2.5 file as 2 qubits and exited 0
+    path = files["dir"] / "size.json"
+    path.write_text(json.dumps({**BELL_CIRCUIT, "qubits": qubits}))
+    code, out, err = run(["simulate", "--circuit", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"qvlab simulate: qubits {qubits!r} is not an integer\n"
+
+
+def test_simulate_integral_float_register_size_is_the_int(files, capsys):
+    path = files["dir"] / "size.json"
+    outs = []
+    for qubits in (2, 2.0):
+        path.write_text(json.dumps({**BELL_CIRCUIT, "qubits": qubits}))
+        outs.append(run(["simulate", "--circuit", str(path)], capsys))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
 def test_simulate_csv(files, capsys):
     code, out, _ = run(["simulate", "--circuit", files["bell"], "--format", "csv"],
                        capsys)
@@ -222,6 +241,19 @@ def test_check_norm_rejects_non_finite_matrices(files, capsys, entry, p):
     path.write_text(json.dumps({"matrix": [[entry, 0], [0, 1]]}))   # NaN / Infinity
     code, out, err = run(["check-norm", "--matrix", str(path), "--p", p], capsys)
     assert code == 2 and out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("matrix, where", [
+    ([["a", "b"], ["c", "d"]], "matrix row 0, column 0 is 'a', not a real number or an [re, im] pair"),
+    ([[1, 0], [0]], "matrix row 1 has length 1, row 0 has 2"),
+    ([[1, 0], [0, [1, 2, 3]]], "matrix row 1, column 1 is [1, 2, 3], not a real number or an [re, im] pair"),
+], ids=["non-numeric", "ragged", "long-pair"])
+def test_check_norm_names_the_bad_matrix_entry(files, capsys, matrix, where):
+    # these failed inside tuple unpacking or numpy, with messages naming neither
+    path = files["dir"] / "bad.json"
+    path.write_text(json.dumps(matrix))
+    code, out, err = run(["check-norm", "--matrix", str(path), "--p", "3"], capsys)
+    assert (code, out, err) == (2, "", f"qvlab check-norm: {where}\n")
 
 
 def test_check_norm_formal_refuses_numeric_only_flags(files, capsys):
@@ -534,6 +566,11 @@ def _readme_cli_section():
     return readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
 
 
+def _readme_cli_examples():
+    block = _readme_cli_section().split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qvlab ")]
+
+
 def test_readme_cli_examples_parse():
     block = _readme_cli_section().split("```", 2)[1]
     examples = [shlex.split(line)[1:] for line in block.splitlines()
@@ -562,6 +599,33 @@ def test_parser_usage_exits():
     with pytest.raises(SystemExit) as info:
         main(["discriminate"])   # missing required --d
     assert info.value.code == 2
+
+
+def test_main_reuses_one_parser_without_carrying_state(files, capsys):
+    # main builds its parser once per process; every exit path argparse has
+    # must leave it as it was, so a second round repeats the first byte for byte
+    fixture = {"bell.json": files["bell"], "h.json": files["hadamard"],
+               "f.txt": files["f"], "flip.json": files["flip"]}
+    examples = [[fixture.get(a, a) for a in argv] for argv in _readme_cli_examples()]
+    exits = [(["no-such-command"], 2), (["discriminate"], 2),
+             (["or-solve", "--truth-table", files["f"], "--p", "3"], 2),
+             (["--help"], 0), (["sqrt", "--help"], 0)]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = [outcome(argv) for argv in examples]
+    stops = [outcome(argv) for argv, _ in exits]
+    assert [code for code, _, _ in stops] == [("SystemExit", code) for _, code in exits]
+    assert stops[3][1] == build_parser().format_help()
+    assert [outcome(argv) for argv in examples] == first
+    assert [outcome(argv) for argv, _ in exits] == stops
+    assert build_parser() is not build_parser()
 
 
 @pytest.mark.parametrize("command", [

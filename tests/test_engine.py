@@ -686,6 +686,13 @@ def test_circuit_json_keeps_the_condition_override():
     assert again.steps[0].gate.condition_override and again.to_json() == text
 
 
+def test_circuit_json_register_size_is_an_integer():
+    # int() read 2.5 as a 2-qubit register
+    with pytest.raises(ValueError, match=r"^qubits 2\.5 is not an integer$"):
+        Circuit.from_json_dict({"qubits": 2.5, "steps": []})
+    assert Circuit.from_json_dict({"qubits": 2.0}).num_qubits == 2
+
+
 def test_circuit_json_rejects_unknown_gate():
     with pytest.raises(ValueError):
         Circuit.from_json('{"qubits": 1, "steps": [{"gate": "Q", "targets": [0]}]}')

@@ -43,11 +43,14 @@ _USAGE_ERRORS = (
 )
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_listed(path: str, key: str):
+    """A JSON file's content, or its ``key`` entry when it holds an object."""
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict):
-        data = data["matrix"]
-    return json_to_matrix(data)
+        if key not in data:
+            raise ValueError(f"{path} holds an object with no {key!r} key")
+        data = data[key]
+    return data
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -111,7 +114,7 @@ def _cmd_check_norm(args) -> tuple[dict, bool]:
     numeric_only = args.nonnegative or args.convention != "modulus"
     if args.mode == "formal" and numeric_only:
         raise ValueError("--mode formal takes neither --nonnegative nor --convention split")
-    matrix = _load_matrix(args.matrix)
+    matrix = json_to_matrix(_load_listed(args.matrix, "matrix"))
     mode = args.mode
     if mode == "auto":
         formal = not numeric_only and normlaws.formal_even_applies(matrix, args.p, args.tol)
@@ -154,10 +157,7 @@ def _cmd_or_solve(args) -> tuple[dict, bool]:
 
 def _cmd_gadget(args) -> tuple[dict, bool]:
     if args.state:
-        data = json.loads(Path(args.state).read_text())
-        if isinstance(data, dict):
-            data = data["amplitudes"]
-        state = engine.StateVector(json_to_vector(data))
+        state = engine.StateVector(json_to_vector(_load_listed(args.state, "amplitudes")))
     else:
         state = engine.StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
     grown, rep = postbqp.postselection_gadget(state, args.qubit, args.p,
@@ -221,7 +221,7 @@ def _cmd_signal(args) -> tuple[dict, bool]:
 # -------------------------------------------------------------------- sqrt
 
 def _cmd_sqrt(args) -> tuple[dict, bool]:
-    matrix = _load_matrix(args.matrix)
+    matrix = json_to_matrix(_load_listed(args.matrix, "matrix"))
     if not np.any(matrix.imag):
         matrix = matrix.real   # so --field auto picks the real group
     if args.embed:

@@ -5,11 +5,13 @@ so ``amps.reshape([2] * n)`` puts qubit i on axis i.
 
 Gate kernel.  ``_apply_block`` applies a 2^k x 2^k matrix to the k adjacent
 qubits lo..lo+k-1 on the view ``amps.reshape(2**lo, 2**k, b)``, b =
-2**(n-lo-k) the amplitudes below them, with no copy of the register.  A
-one-target gate on qubit q is its k = 1 case, ``amps.reshape(2**q, 2, b)``;
-local-mode branch norms, the two nonlinear maps and postselection read their
-(target=0, target=1) pairs from that same view.  The product is chosen by
-the row width 2^k b, read off the input:
+2**(n-lo-k) the amplitudes below them, with no copy of the register.
+``_qubits_view`` puts any targets on axis 1 of that view in their given
+order for every matrix step, local-mode norm and marginal: ascending
+adjacent targets are the view itself, and only reversed or non-adjacent
+targets move their axes, in one copy each way.  The nonlinear maps and
+postselection read their pairs from the one-target view.  The product is
+chosen by the row width 2^k b, read off the input:
 
 * 2^k b <= ``GEMM_MAX`` = 16: one GEMM of ``amps.reshape(-1, 2^k b)``
   against ``m.T (x) I_b`` (``m.T`` itself at b = 1);
@@ -27,11 +29,8 @@ GEMM, lost end to end: in six alternating runs of the circuits benchmark
 (seed 1) it read 8.1-10.1 against 9.4-10.7 ops/s at 16, lower in four of
 six, with median p50 50 against 48 ms and peak RSS 150 against 139 MB in
 every run.  From b = 16 on stacked matmul is as fast as moving the target
-axis or faster.  Multi-target gates that are not controlled unitaries, and
-every multi-target gate in local mode, move their target axes to the front
-(``_target_columns``), multiply, and move them back: two copies of the
-register, 11-15 ms at n = 20 for a one-target gate against 2.5-5 ms on the
-view.
+axis or faster: moving costs two copies of the register, 11-15 ms at n = 20
+for a one-target gate against 2.5-5 ms on the view.
 
 Controlled gates.  A two-target gate whose matrix is block-diag(I, U) or
 block-diag(U, I) is U on targets[1] where the control qubit c = targets[0]
@@ -56,8 +55,8 @@ The full pass throws away its products on the idle half.  A unitary block
 grows no amplitude by more than 2^(k/2), so those can overflow only where
 the idle half holds amplitudes within that factor of the largest double.
 An invertible controlled gate could grow them by its whole gain, so it
-takes the general path through ``_target_columns``, where the identity
-block keeps the idle half out of every product.
+takes the general path, the whole 4 x 4 matrix on ``_qubits_view``, where
+the identity block keeps the idle half out of every product.
 
 The slice is taken for stacked matmul, which makes half the products of
 the full pass, and for GEMMs of at least 512 amplitudes (2^(n-c-1)); fewer
@@ -141,7 +140,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .linalg import NonPositiveP, _halves, is_unitary, p_distribution, p_norm
+from .linalg import NonPositiveP, is_unitary, p_distribution, p_norm
 
 UNITARY_TOL = 1e-10
 CONDITION_LIMIT = 1e12
@@ -390,24 +389,23 @@ def _index(value, what: str = "qubit") -> int:
     raise ValueError(f"{what} {value!r} is not an integer")
 
 
-def _target_columns(state: StateVector, targets: tuple[int, ...]) -> np.ndarray:
-    """View the register as (2^k, branches): one column per non-target assignment."""
-    n = state.num_qubits
-    k = len(targets)
-    tensor = state.amplitudes.reshape([2] * n) if n else state.amplitudes.reshape(())
-    moved = np.moveaxis(tensor, targets, range(k))
-    return moved.reshape(2 ** k, -1), moved.shape
-
-
-def _columns_to_amps(cols: np.ndarray, shape, targets: tuple[int, ...]) -> np.ndarray:
-    k = len(targets)
-    tensor = cols.reshape(shape)
-    return np.moveaxis(tensor, range(k), targets).reshape(-1)
-
-
 def _target_view(amps: np.ndarray, lo: int, k: int = 1) -> np.ndarray:
     """The register as (2^lo, 2^k, b) with qubits lo..lo+k-1 on axis 1; no copy."""
     return amps.reshape(2 ** lo, 2 ** k, -1)
+
+
+def _qubits_view(amps: np.ndarray, qubits: tuple[int, ...]):
+    """``_target_view`` with ``qubits`` on axis 1 in their given order, and the
+    function back to amplitudes: no copy for ascending qubits lo..lo+k-1,
+    else one moved copy, (1, 2^k, rest)."""
+    k = len(qubits)
+    lo = qubits[0] if qubits else 0
+    if qubits == tuple(range(lo, lo + k)):
+        return _target_view(amps, lo, k), np.ravel
+    moved = np.moveaxis(amps.reshape([2] * (amps.size.bit_length() - 1)), qubits, range(k))
+    shape = moved.shape
+    return (moved.reshape(1, 2 ** k, -1),
+            lambda v: np.moveaxis(v.reshape(shape), range(k), qubits).reshape(-1))
 
 
 def _apply_block(v: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -435,7 +433,7 @@ def _apply_controlled(amps: np.ndarray, c: int, bit: int, lo: int, m: np.ndarray
     product (module docstring)."""
     d = m.shape[0]
     b = amps.size // (2 ** lo * d)
-    halves = amps.reshape(2 ** c, 2, -1)   # axis 1 is qubit c
+    halves = _target_view(amps, c)
     if c < lo and (d * b > GEMM_MAX or halves.shape[2] >= 512):
         # on the control slice: copy the idle half, multiply the active half
         out = np.empty_like(amps)
@@ -517,9 +515,13 @@ def _abs_squared(x: np.ndarray) -> np.ndarray:
 
 
 def _line_sums(a: np.ndarray) -> np.ndarray:
-    """Sums along axis -2; a two-entry axis is added as two halves, by one
-    ufunc call (as ``p_norm`` does), not by numpy's slow short reduce."""
-    return np.add(*_halves(a, -2)).squeeze(-2) if a.shape[-2] == 2 else a.sum(-2)
+    """Sums along axis -2, by one ``np.add`` per entry in order: the bits of
+    numpy's reduce over a leading axis (two halves, as ``p_norm`` adds, for
+    two entries), without its slow loop over a short middle axis."""
+    sums = a[..., 0, :] + a[..., 1, :] if a.shape[-2] > 1 else a[..., 0, :].copy()
+    for i in range(2, a.shape[-2]):
+        sums += a[..., i, :]
+    return sums
 
 
 def apply_nonlinear(state: StateVector, kind: str, target: int) -> StateVector:
@@ -546,15 +548,8 @@ def measure_distribution(state: StateVector, rule: MeasurementRule | float = 2.0
 def marginal_distribution(state: StateVector, qubits: Sequence[int],
                           rule: MeasurementRule | float = 2.0) -> np.ndarray:
     """Distribution of the given qubits, other outcomes summed out."""
-    n = state.num_qubits
-    qubits = _check_qubits(n, qubits)
-    probs = measure_distribution(state, rule)
-    tensor = probs.reshape([2] * n)
-    others = tuple(ax for ax in range(n) if ax not in qubits)
-    marg = tensor.sum(axis=others) if others else tensor
-    # summed tensor axes follow sorted(qubits); restore the requested order
-    ranks = np.argsort(np.argsort(qubits))
-    return np.transpose(marg, ranks).reshape(-1)
+    qubits = _check_qubits(state.num_qubits, qubits)
+    return _qubits_view(measure_distribution(state, rule), qubits)[0].sum(axis=(0, 2))
 
 
 def postselect(state: StateVector, qubit: int, bit: int) -> StateVector:
@@ -622,6 +617,11 @@ class Circuit:
     num_qubits: int
     steps: list = field(default_factory=list)
 
+    def __post_init__(self):   # the one place a register size is made an int
+        self.num_qubits = _index(self.num_qubits, "qubits")
+        if self.num_qubits < 0:
+            raise ValueError(f"qubits {self.num_qubits} is negative")
+
     def gate(self, gate: Gate, targets: Iterable[int],
              mode: NormalizationMode | str = NormalizationMode.UNITARY) -> "Circuit":
         self.steps.append(GateStep(gate, _check_targets(self.num_qubits, targets, gate.arity),
@@ -651,7 +651,7 @@ class Circuit:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Circuit":
         from .report import json_to_matrix
-        circuit = cls(_index(data["qubits"], "qubits"))
+        circuit = cls(data["qubits"])
         for step in data.get("steps", []):
             if "postselect" in step:
                 ps = step["postselect"]
@@ -738,17 +738,11 @@ def _run_step(state: StateVector, step) -> StateVector:
                 np.isfinite(v).all(axis=1) & ~np.isfinite(out).all(axis=1)):
             raise AmplitudeOverflow(_overflow_message(gate.kind))
         return StateVector(out.reshape(-1))
-    if gate.arity == 1:   # the k = 1 case of the block kernel
-        v = _target_view(state.amplitudes, targets[0])
-        new = _apply_block(v, gate.matrix)
-        if local:
-            new = _rescale_branches(v, new)
-        return StateVector(new.reshape(-1))
-    cols, shape = _target_columns(state, targets)
-    new_cols = gate.matrix @ cols
+    v, back = _qubits_view(state.amplitudes, targets)
+    new = _apply_block(v, gate.matrix)
     if local:
-        new_cols = _rescale_branches(cols, new_cols)
-    return StateVector(_columns_to_amps(new_cols, shape, targets))
+        new = _rescale_branches(v, new)
+    return StateVector(back(new))
 
 
 def _fusion(step):

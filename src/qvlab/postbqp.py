@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .engine import (Circuit, Gate, MeasurementRule, StateVector, _check_bit, _index,
-                     apply_gate, hadamard, marginal_distribution, postselect, run_circuit)
+                     _target_view, apply_gate, hadamard, marginal_distribution, postselect,
+                     run_circuit)
 from .linalg import PEqualsTwo, complete_to_unitary, p_distribution, p_norm
 from .report import fields_to_json
 
@@ -341,7 +342,7 @@ def _branch_pweights(state: StateVector, qubit: int, p: float,
     taken from the states before and after the gadget.  Each is p log2 of
     the branch's scale-safe p-norm, -inf for an empty branch.
     """
-    split = state.amplitudes.reshape(2 ** qubit, 2, -1)
+    split = _target_view(state.amplitudes, qubit)
     norms = (p_norm(split[:, conditioned], p), p_norm(split[:, 1 - conditioned], p))
     return tuple(p * math.log2(v) if v > 0 else -math.inf for v in norms)
 

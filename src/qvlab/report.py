@@ -29,14 +29,20 @@ import numpy as np
 
 
 def json_to_complex(pair: Any, where: str = "value") -> complex:
-    """A real number or an ``[re, im]`` pair of them; else ValueError naming ``where``."""
-    if isinstance(pair, (int, float)):
+    """A real number or an ``[re, im]`` pair of them; else ValueError naming
+    ``where``.  JSON ``true`` and ``false`` are not numbers, though ``bool``
+    is an ``int``."""
+    if _is_real(pair):
         return complex(pair)
     if type(pair) is list and len(pair) == 2:
         re, im = pair
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
+        if _is_real(re) and _is_real(im):
             return complex(re, im)
     raise ValueError(f"{where} is {pair!r}, not a real number or an [re, im] pair")
+
+
+def _is_real(x: Any) -> bool:
+    return isinstance(x, (int, float)) and x.__class__ is not bool
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:

@@ -161,6 +161,20 @@ def test_simulate_integral_float_register_size_is_the_int(files, capsys):
     assert outs[0] == outs[1] and outs[0][0] == 0
 
 
+def test_simulate_refuses_a_negative_register_size(files, capsys):
+    # "qubits": -1 died in StateVector.ground with a TypeError traceback and exit 1
+    with pytest.raises(ValueError, match=r"^qubits -1 is negative$"):
+        qvlab.Circuit(-1)
+    path = files["dir"] / "size.json"
+    path.write_text(json.dumps({"qubits": -1, "steps": []}))
+    code, out, err = run(["simulate", "--circuit", str(path)], capsys)
+    assert (code, out, err) == (2, "", "qvlab simulate: qubits -1 is negative\n")
+    # an empty register still reports its one amplitude
+    path.write_text(json.dumps({"qubits": 0, "steps": []}))
+    code, out, _ = run(["simulate", "--circuit", str(path)], capsys)
+    assert code == 0 and envelope(out)["report"]["amplitudes"] == [[1.0, 0.0]]
+
+
 def test_simulate_csv(files, capsys):
     code, out, _ = run(["simulate", "--circuit", files["bell"], "--format", "csv"],
                        capsys)
@@ -247,13 +261,28 @@ def test_check_norm_rejects_non_finite_matrices(files, capsys, entry, p):
     ([["a", "b"], ["c", "d"]], "matrix row 0, column 0 is 'a', not a real number or an [re, im] pair"),
     ([[1, 0], [0]], "matrix row 1 has length 1, row 0 has 2"),
     ([[1, 0], [0, [1, 2, 3]]], "matrix row 1, column 1 is [1, 2, 3], not a real number or an [re, im] pair"),
-], ids=["non-numeric", "ragged", "long-pair"])
+    ([[True, 0], [0, 1]], "matrix row 0, column 0 is True, not a real number or an [re, im] pair"),
+    ([[1, 0], [0, [1, False]]], "matrix row 1, column 1 is [1, False], not a real number or an [re, im] pair"),
+], ids=["non-numeric", "ragged", "long-pair", "boolean", "boolean-in-pair"])
 def test_check_norm_names_the_bad_matrix_entry(files, capsys, matrix, where):
-    # these failed inside tuple unpacking or numpy, with messages naming neither
+    # these failed inside tuple unpacking or numpy, with messages naming neither;
+    # booleans ran as 1 and 0 (bool is an int), so [[true, 0], [0, 1]] exited 0
     path = files["dir"] / "bad.json"
     path.write_text(json.dumps(matrix))
     code, out, err = run(["check-norm", "--matrix", str(path), "--p", "3"], capsys)
     assert (code, out, err) == (2, "", f"qvlab check-norm: {where}\n")
+
+
+def test_input_file_without_its_key_names_the_file_and_key(files, capsys):
+    # a missing key printed only its repr: "qvlab gadget: 'amplitudes'"
+    path = files["dir"] / "keyed.json"
+    path.write_text(json.dumps({"amps": [1, 0]}))
+    for argv, key in ((["gadget", "--m", "2", "--state", str(path)], "amplitudes"),
+                      (["check-norm", "--matrix", str(path)], "matrix"),
+                      (["sqrt", "--matrix", str(path)], "matrix")):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"qvlab {argv[0]}: {path} holds an object with no {key!r} key\n"
 
 
 def test_check_norm_formal_refuses_numeric_only_flags(files, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,11 +138,14 @@ def assert_rel_close(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n,q", [(6, q) for q in range(6)] + [(9, q) for q in range(9)])
+@pytest.mark.parametrize("n,q", [(n, q) for n in range(2, 10) for q in range(n)])
 def test_kernel_matches_einsum_reference(n, q):
-    """Every target of n = 6 and 9, so the amplitudes below the target (b =
+    """Every target of n = 2..9, so the amplitudes below the target (b =
     2^(n-q-1)) take 1, 2, 4, 8 and 16 up: each branch of the kernel's
-    dispatch, in every mode, against one reference."""
+    dispatch, in every mode, against one reference.  Two- and three-target
+    gates run on ascending adjacent targets (no copy), reversed ones and
+    non-adjacent ones (one moved copy), with rows of 2^k b <= 16 amplitudes
+    (one GEMM) and wider (stacked matmul)."""
     rng = np.random.default_rng(1000 * n + q)
     state = StateVector(rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n))
     unitary = unitary_group.rvs(2, random_state=q)
@@ -169,6 +173,41 @@ def test_kernel_matches_einsum_reference(n, q):
                 got = apply_gate(state, Gate(u2, name="u2"), targets, mode).amplitudes
                 assert_rel_close(got, einsum_reference(state.amplitudes, n, targets, u2,
                                                        mode=mode))
+    for k in (2, 3):
+        if k > n:
+            continue
+        lo = min(q, n - k)
+        adjacent = list(range(lo, lo + k))
+        sets = [adjacent, adjacent[::-1]]
+        if n > k:   # q, then the qubits from q + 2 on (mod n): never ascending adjacent
+            sets.append([q] + [(q + 2 + i) % n for i in range(k - 1)])
+        d = 2 ** k
+        unitary = unitary_group.rvs(d, random_state=q)
+        invertible = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) + 2.0 * np.eye(d)
+        for targets in sets:
+            for m, modes in ((unitary, ("unitary", "global", "local")),
+                             (invertible, ("global", "local"))):
+                gate = Gate(m, name="m")
+                for mode in modes:
+                    got = apply_gate(state, gate, targets, mode).amplitudes
+                    assert_rel_close(got, einsum_reference(state.amplitudes, n, targets, m,
+                                                           mode=mode))
+                for scale in (1e-300, 1e300):
+                    scaled = StateVector(state.amplitudes * scale)
+                    got = apply_gate(scaled, gate, targets, "local").amplitudes
+                    assert_rel_close(got, einsum_reference(scaled.amplitudes, n, targets, m,
+                                                           mode="local"))
+
+
+def test_adjacent_two_target_gate_runs_on_the_register_view():
+    # moving the target axes to the front and back peaked at 3.0x the state's bytes
+    state = random_state(16)
+    gate = Gate(unitary_group.rvs(4, random_state=16), name="u2")
+    tracemalloc.start()
+    apply_gate(state, gate, [7, 8])
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak <= 1.1 * state.amplitudes.nbytes
 
 
 def controlled_matrix(bit, u):
@@ -541,6 +580,15 @@ def test_marginal_distribution_matches_manual_sum():
         b0, b2 = (idx >> 2) & 1, idx & 1
         want[2 * b0 + b2] += full[idx]
     assert np.allclose(got, want, atol=1e-12)
+    # no qubit, a reversed pair and a non-adjacent triple, each in its given order
+    state = random_state(5)
+    full = measure_distribution(state, 3.0)
+    for qubits in ([], [2, 1], [3, 0, 2]):
+        want = np.zeros(2 ** len(qubits))
+        for idx in range(32):
+            want[sum(((idx >> (4 - q)) & 1) << (len(qubits) - 1 - i)
+                     for i, q in enumerate(qubits))] += full[idx]
+        assert np.allclose(marginal_distribution(state, qubits, 3.0), want, atol=1e-12)
     # an out-of-range, negative or repeated qubit is named in the error
     for qubits in ([5], [-1], [0, 0]):
         with pytest.raises(ValueError, match=rf"qubit {qubits[0]} "):

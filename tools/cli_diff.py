@@ -6,10 +6,13 @@
 Writes a pinned set of input files to a temporary directory, then runs a
 pinned set of ``qvlab.cli.main`` invocations under this tree's ``src`` and
 under PARENT_TREE's ``src``: one child process per tree, every invocation in
-that process.  The set is the README's nine examples plus each usage-error
-path (exit 2) and ``--help`` (exit 0).  It prints the invocations whose
-stdout is byte-identical, each one whose stdout differs with its largest
-absolute float difference, and each change in stderr or exit code.  Exits 0
+that process.  The set is the README's nine examples, each usage-error
+path (exit 2), ``--help`` (exit 0), and two-target gates on ascending
+adjacent, reversed and non-adjacent targets of 6 qubits (rows of more than
+16 amplitudes, stacked matmul) and of 3 qubits (one GEMM).  It prints the
+invocations whose stdout is byte-identical, each one whose stdout differs
+with its largest absolute float difference, and each change in stderr or
+exit code; an exception that escapes ``main`` counts as exit 1.  Exits 0
 when everything is identical, 1 otherwise.  Standard library only.
 """
 from __future__ import annotations
@@ -26,6 +29,30 @@ from pathlib import Path
 R = 1.0 / math.sqrt(2.0)
 BELL = {"qubits": 2, "steps": [{"gate": "H", "targets": [0]},
                                {"gate": "CNOT", "targets": [0, 1]}]}
+# a well-conditioned two-target matrix, not unitary, so its steps run in global or local mode
+PAIR = [[0.9, [0.1, -0.3], 0.2, [0, 0.4]], [[0.3, 0.2], -0.7, [0.1, 0.1], 0.5],
+        [0.1, [0, -0.6], 0.8, [-0.2, 0.3]], [[-0.4, 0.1], 0.2, [0.3, -0.1], 0.6]]
+
+
+def pair_circuit(n: int, targets: list[int], mode: str) -> dict:
+    """H on every qubit, a one-target tilt on the first and last, then PAIR on ``targets``."""
+    tilt = [[0.6, [0, 0.8]], [[0.3, 0.1], -0.7]]
+    steps = [{"gate": "H", "targets": [q]} for q in range(n)]
+    steps += [{"gate": "custom", "matrix": tilt, "targets": [q], "mode": "global"}
+              for q in (0, n - 1)]
+    return {"qubits": n, "steps": steps + [
+        {"gate": "custom", "matrix": PAIR, "targets": targets, "mode": mode}]}
+
+
+PAIRS = {f"pair{n}_{name}.json": pair_circuit(n, targets, mode)
+         for n, name, targets, mode in [(6, "adjacent", [1, 2], "global"),
+                                        (6, "reversed", [2, 1], "global"),
+                                        (6, "spread", [1, 4], "global"),
+                                        (3, "adjacent", [1, 2], "global"),
+                                        (3, "reversed", [2, 1], "global"),
+                                        (3, "spread", [0, 2], "global"),
+                                        (6, "adjacent_local", [1, 2], "local"),
+                                        (3, "spread_local", [0, 2], "local")]}
 FILES = {
     "bell.json": BELL,
     "h.json": {"matrix": [[R, R], [R, -R]]},
@@ -36,6 +63,10 @@ FILES = {
     "non_numeric.json": [["a", "b"], ["c", "d"]],
     "ragged.json": [[1, 0], [0]],
     "long_pair.json": [[1, 0], [0, [1, 2, 3]]],
+    "negative_size.json": {"qubits": -1, "steps": []},
+    "boolean_entry.json": [[True, 0], [0, 1]],
+    "keyless_state.json": {"amps": [1, 0]},
+    **PAIRS,
 }
 INVOCATIONS = [
     # the README's nine examples
@@ -60,6 +91,11 @@ INVOCATIONS = [
     "check-norm --matrix non_numeric.json --p 3",
     "check-norm --matrix ragged.json --p 3",
     "check-norm --matrix long_pair.json --p 3",
+    "simulate --circuit negative_size.json",
+    "check-norm --matrix boolean_entry.json --p 3",
+    "gadget --m 2 --state keyless_state.json",
+    # two-target gates through the kernel's view of their targets
+    *(f"simulate --circuit {name} --p 3" for name in PAIRS),
 ]
 
 
@@ -77,6 +113,9 @@ def collect(src: str) -> list[dict]:
                 code = cli.main(line.split())
             except SystemExit as exc:
                 code = exc.code
+            except Exception as exc:   # the console script prints a traceback and exits 1
+                code = 1
+                err.write(f"uncaught {type(exc).__name__}: {exc}\n")
         results.append({"argv": line, "exit": code, "stdout": out.getvalue(),
                         "stderr": err.getvalue()})
     return results
